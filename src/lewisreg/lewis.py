@@ -4,7 +4,12 @@ The Lewis weights of A for a given p are the unique positive solution of
 
     a_i^T (A^T W^(1-2/p) A)^(-1) a_i = w_i^(2/p),   W = diag(w),
 
-computed here by fixed-point contraction. The importance weight of a row,
+computed here by fixed-point contraction. Each iteration needs the leverage
+scores of X = W^(1/2-1/p) A. They come from one Cholesky factor of the
+equilibrated Gram matrix D X^T X D, with D = diag(X^T X)^(-1/2), which costs
+two n x d matrix products. When that factor fails or its condition number is
+too large for the iteration's tolerance, the iteration falls back to a
+reduced QR of X for that step. The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
 p < 2, so the oracle runs a multistart projected ascent and certifies a
 lower bound on the supremum.
@@ -47,8 +52,8 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
         raise ValueError(f"p must be in [1, 2], got {p}")
     A = as_matrix(A)
     n, d = A.shape
-    row_norms = np.linalg.norm(A, axis=1)
-    nz = row_norms > 0.0
+    # Not a norm test: squared entries below ~1e-154 underflow to zero.
+    nz = np.any(A != 0.0, axis=1)
     B = A[nz]
     if B.shape[0] < d or matrix_rank_cutoff(B) < d:
         raise DegenerateMatrixError(
@@ -62,8 +67,12 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
         # ratio a_i^T (...)^(-1) a_i / w_i^(2/p) equals tau_i / w_i.
-        tau = _scaled_leverage(B, w, p)
+        tau = _scaled_leverage(B, w, p, tol)
         residual = float(np.max(np.abs(tau / w - 1.0)))
+        if not math.isfinite(residual):
+            raise DegenerateMatrixError(
+                f"Lewis iteration {iterations} produced non-finite leverage scores"
+            )
         if residual <= tol:
             converged = True
             break
@@ -80,9 +89,34 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     )
 
 
-def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    scale = w ** (0.5 - 1.0 / p)
-    Q, R = np.linalg.qr(scale[:, None] * B, mode="reduced")
+def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
+    """Leverage scores of X = diag(w^(1/2-1/p)) B: x_i^T (X^T X)^(-1) x_i.
+
+    The Gram route loses accuracy in proportion to eps * cond(X^T X). It is
+    used only while that error stays a hundredth of `tol`, so a residual it
+    reports below `tol` is one a QR would report too.
+    """
+    # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
+    # factorization rejects, or a non-finite tau, which the caller rejects.
+    with np.errstate(all="ignore"):
+        X = (w ** (0.5 - 1.0 / p))[:, None] * B
+        G = X.T @ X
+        D = 1.0 / np.sqrt(np.diag(G))
+        Gs = D[:, None] * G * D
+    try:
+        L = np.linalg.cholesky(Gs)
+        accurate = np.finfo(np.float64).eps * np.linalg.cond(Gs) <= 1e-2 * tol
+    except np.linalg.LinAlgError:
+        accurate = False
+    if not accurate:
+        return _qr_leverage(X)
+    # (X^T X)^(-1) = D L^(-T) L^(-1) D, so tau_i = ||x_i^T D L^(-T)||^2.
+    Y = X @ (D[:, None] * np.linalg.inv(L).T)
+    return np.einsum("ij,ij->i", Y, Y)
+
+
+def _qr_leverage(X: np.ndarray) -> np.ndarray:
+    Q, R = np.linalg.qr(X, mode="reduced")
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-14 * max(rdiag.max(), 1e-300):
         raise DegenerateMatrixError("matrix lost rank during Lewis iteration")

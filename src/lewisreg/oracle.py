@@ -94,8 +94,13 @@ def active_solve(
     ledger = QueryLedger(budget=budget)
     y_s = np.array([query(instance, ledger, i) for i in sketch.indices])
     # query-ledger exactness: the labels read are exactly the sketch support
-    assert ledger.count == sketch.support_size
-    assert np.array_equal(np.sort(np.asarray(ledger.queried)), sketch.indices)
+    if ledger.count != sketch.support_size or not np.array_equal(
+        np.sort(np.asarray(ledger.queried)), sketch.indices
+    ):
+        raise RuntimeError(
+            f"query ledger ({ledger.count} labels) does not match the sketch "
+            f"support ({sketch.support_size} rows)"
+        )
     A_s = instance.A[sketch.indices]
     if instance.p == 1.0:
         result = solve_weighted_l1(A_s, y_s, sketch.weights)

@@ -37,6 +37,12 @@ class SamplePlan:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.params.size != self.n:
             raise ValueError("params length must equal n")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("plan params contain NaN or Inf")
+        if np.any(self.params < 0.0):
+            raise ValueError("plan params must be nonnegative")
+        if self.scheme != POISSON_LP and np.any(self.params > 1.0):
+            raise ValueError(f"{self.scheme} inclusion probabilities must be at most 1")
 
     @cached_property
     def expected_support(self) -> float:
@@ -87,8 +93,7 @@ def plan_l1(
     w = as_vector(w_prime, "weights")
     if np.any(w < 0):
         raise ValueError("Lewis weights must be nonnegative")
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
+    _check_gamma(gamma)
     if u_override is not None:
         u = float(u_override)
     else:
@@ -119,8 +124,7 @@ def plan_lp(
     w = as_vector(w_prime, "weights")
     if np.any(w < 0):
         raise ValueError("Lewis weights must be nonnegative")
-    if gamma < 1.0:
-        raise ValueError("gamma must be >= 1")
+    _check_gamma(gamma)
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must be in (1, 2], got {p}")
     if d is None:
@@ -144,6 +148,12 @@ def plan_uniform(n: int, m: int) -> SamplePlan:
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
     return SamplePlan(scheme=UNIFORM, n=n, params=np.full(n, m / n), m=float(m))
+
+
+def _check_gamma(gamma: float) -> None:
+    # An unconverged Lewis iteration reports gamma = inf; it bounds nothing.
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
 
 
 def _check_unit_interval(**kwargs: float) -> None:

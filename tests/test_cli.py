@@ -54,6 +54,17 @@ def test_pipeline_gen_lewis_plan_realize_solve(tmp_path, capsys):
     assert payload["status"] in ("converged", "max-iter")
 
 
+def test_realize_rejects_invalid_plan_file(tmp_path, capsys):
+    for params in ([0.5, float("nan")], [0.5, 1.5]):
+        plan_path = tmp_path / "bad.json"
+        plan_path.write_text(json.dumps({"scheme": "bernoulli-l1", "n": 2,
+                                         "params": params, "gamma": 1.0}))
+        code, _ = run(capsys, "realize", "--plan", str(plan_path), "--seed", "1",
+                      "--out", str(tmp_path / "s.csv"))
+        assert code == 1
+        assert not (tmp_path / "s.csv").exists()
+
+
 def test_realize_deterministic_output(tmp_path, capsys):
     prefix = str(tmp_path / "i")
     run(capsys, "gen", "--n", "50", "--d", "2", "--seed", "1", "--out", prefix)

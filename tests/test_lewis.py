@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lewisreg import (
     DegenerateMatrixError,
+    gen_random,
     importance_weight_oracle,
     importance_weights,
     leverage_scores,
@@ -67,7 +68,9 @@ def test_rotation_invariance():
 def test_scaling_invariance():
     A = np.random.default_rng(4).standard_normal((30, 3))
     base = lewis_weights(A, 1.25).w
-    np.testing.assert_allclose(lewis_weights(7.5 * A, 1.25).w, base, atol=1e-8)
+    # At 1e-170 every squared row norm underflows to 0, yet no row is zero.
+    for c in (7.5, 1e-170):
+        np.testing.assert_allclose(lewis_weights(c * A, 1.25).w, base, atol=1e-8)
 
 
 def test_zero_rows_get_zero_weight():
@@ -84,6 +87,64 @@ def test_nonconvergence_reported_not_raised():
     assert not lw.converged
     assert lw.residual > 1e-14
     assert lw.iterations == 2
+
+
+def _svd_leverage(A, w, p):
+    """Leverage scores of W^(1/2-1/p) A on the rows with w > 0, by SVD."""
+    nz = w > 0
+    U = np.linalg.svd((w[nz] ** (0.5 - 1.0 / p))[:, None] * A[nz], full_matrices=False)[0]
+    return np.einsum("ij,ij->i", U, U)
+
+
+def _svd_residual(A, w, p):
+    """The fixed-point residual max_i |tau_i / w_i - 1|, recomputed by SVD."""
+    return float(np.max(np.abs(_svd_leverage(A, w, p) / w[w > 0] - 1.0)))
+
+
+def test_gram_path_matches_svd_reference(monkeypatch):
+    from lewisreg import lewis
+
+    def no_fallback(X):
+        raise AssertionError("well-conditioned input took the QR fallback")
+
+    monkeypatch.setattr(lewis, "_qr_leverage", no_fallback)
+    # Column scales up to 1e8: the equilibrated Gram matrix stays well conditioned.
+    A = np.random.default_rng(21).standard_normal((3000, 6)) * np.logspace(0, 8, 6)
+    for p in (1.0, 1.5):
+        lw = lewis_weights(A, p)
+        assert lw.converged
+        w = np.full(A.shape[0], A.shape[1] / A.shape[0])
+        for _ in range(lw.iterations - 1):
+            w = w ** (1.0 - p / 2.0) * _svd_leverage(A, w, p) ** (p / 2.0)
+        np.testing.assert_allclose(lw.w, w, rtol=1e-12)
+        assert _svd_residual(A, lw.w, p) <= 1e-8
+
+
+def test_heavy_row_residual_holds_under_svd():
+    # A coherent heavy row makes the Gram matrix ill-conditioned; a residual
+    # claimed from Cholesky leverage scores there is off by ~100x.
+    A = gen_random(2000, 5, heavy_row_scale=1e6, seed=1).instance.A
+    lw = lewis_weights(A, 1.5)
+    assert lw.converged and lw.residual <= 1e-8
+    assert _svd_residual(A, lw.w, 1.5) <= 1e-7
+
+
+def test_near_collinear_columns_converge():
+    A = np.random.default_rng(0).standard_normal((2000, 5))
+    A[:, 1] = A[:, 0] + 1e-5 * A[:, 1]
+    lw = lewis_weights(A, 1.0)
+    assert lw.converged
+    assert _svd_residual(A, lw.w, 1.0) <= 1e-7
+
+
+def test_non_finite_iteration_raises():
+    # Row scales over 200 or 400 decades: leverage scores of the small rows
+    # underflow, so the fixed point is not representable in float64.
+    G = np.random.default_rng(22).standard_normal((2000, 6))
+    for decades in (100, 200):
+        A = np.logspace(-decades, decades, 2000)[:, None] * G
+        with pytest.raises(DegenerateMatrixError, match="non-finite"):
+            lewis_weights(A, 1.0)
 
 
 def test_rank_deficient_raises():

@@ -93,3 +93,14 @@ def test_plan_size_mismatch():
     plan = plan_l1(np.full(9, 0.5), gamma=1.0, u_override=0.5)
     with pytest.raises(ValueError):
         active_solve(inst, plan, seed=0)
+
+
+def test_active_solve_raises_on_ledger_mismatch(monkeypatch):
+    from lewisreg import oracle
+
+    # A label read that bypasses the meter must not go unnoticed, even under -O.
+    monkeypatch.setattr(oracle, "query", lambda instance, ledger, i: float(instance._y[i]))
+    inst = make_instance(n=30, d=2, seed=5)
+    plan = plan_l1(np.full(30, 1.0), gamma=1.0, u_override=0.5)
+    with pytest.raises(RuntimeError, match="ledger"):
+        active_solve(inst, plan, seed=0)

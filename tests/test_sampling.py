@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from lewisreg import (
+    SamplePlan,
+    gen_random,
+    lewis_weights,
     plan_l1,
     plan_lp,
     plan_uniform,
@@ -57,6 +60,48 @@ def test_plan_l1_validation():
         plan_l1(np.array([0.1]), gamma=0.5, u_override=0.5)
     with pytest.raises(ValueError):
         plan_l1(np.array([0.1]), eps=0.25, delta=0.1)  # d missing
+
+
+def test_plans_reject_unconverged_gamma():
+    # One Lewis iteration leaves residual ~400, reported as gamma = inf.
+    A = gen_random(2000, 5, heavy_row_scale=1e6, seed=1).instance.A
+    A[1] = 0.0
+    lw = lewis_weights(A, 1.0, max_iter=1)
+    assert lw.gamma == math.inf
+    with pytest.raises(ValueError, match="gamma"):
+        plan_l1(lw.w, gamma=lw.gamma, eps=0.25, delta=0.1, d=5)
+    # with u given, 0 * inf used to make a NaN probability for the zero row
+    with pytest.raises(ValueError, match="gamma"):
+        plan_l1(lw.w, gamma=lw.gamma, u_override=0.01)
+    with pytest.raises(ValueError, match="gamma"):
+        plan_lp(lw.w, gamma=lw.gamma, d=5, p=1.5, m_override=100.0)
+    with pytest.raises(ValueError, match="gamma"):
+        plan_l1(lw.w, gamma=math.nan, u_override=0.01)
+
+
+@pytest.mark.parametrize("scheme, params", [
+    ("bernoulli-l1", [0.5, math.nan]),
+    ("bernoulli-l1", [0.5, 1.5]),
+    ("bernoulli-l1", [-0.1, 0.5]),
+    ("uniform", [0.5, math.inf]),
+    ("uniform", [1.2, 0.5]),
+    ("poisson-lp", [2.0, math.inf]),
+    ("poisson-lp", [math.nan, 2.0]),
+    ("poisson-lp", [-1.0, 2.0]),
+])
+def test_sample_plan_rejects_invalid_params(scheme, params):
+    with pytest.raises(ValueError):
+        SamplePlan(scheme=scheme, n=2, params=np.array(params))
+
+
+def test_sample_plan_accepts_boundary_params():
+    SamplePlan(scheme="bernoulli-l1", n=2, params=np.array([0.0, 1.0]))
+    SamplePlan(scheme="poisson-lp", n=2, params=np.array([0.0, 40.0]))
+
+
+def test_plan_lp_rejects_overflowing_rates():
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        plan_lp(np.full(4, 4.0), d=2, p=1.5, m_override=1e308)
 
 
 def test_plan_lp_uniform_rates():
