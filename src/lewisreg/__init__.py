@@ -50,13 +50,11 @@ from .verify import (
     BetaSample,
     CrossTermReport,
     EmbedReport,
-    RucReport,
     RucTrial,
     TaylorReport,
     cross_term_check,
     embedding_check,
     ruc_check,
-    ruc_report,
     taylor_claim_check,
     taylor_remainder_ratio,
 )

@@ -14,12 +14,14 @@ import sys
 
 import numpy as np
 
-from . import __version__, matio, rng
+from . import __version__, matio
 from .errors import BudgetExceededError, DegenerateMatrixError
 from .experiments import (
+    ExperimentConfig,
     fit_loglog_slope,
     preset_config,
     run_experiment,
+    run_trials,
     sweep,
     sweep_summary,
 )
@@ -37,7 +39,7 @@ from .sampling import (
     realize,
 )
 from .solvers import solve_weighted_l1, solve_weighted_lp
-from .verify import BetaSample, cross_term_check, embedding_check, ruc_report, taylor_claim_check
+from .verify import taylor_claim_check
 
 
 def main(argv=None) -> int:
@@ -162,7 +164,6 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-m", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None)
 
 
@@ -171,7 +172,7 @@ def _overrides(args) -> dict:
         "n": args.n, "d": args.d, "p": args.p_value, "eps": args.eps,
         "delta": args.delta, "scheme": args.scheme, "c_u": args.c_u,
         "c_m": args.c_m, "trials": args.trials, "seed": args.seed,
-        "threads": args.threads, "out": args.out,
+        "out": args.out,
     }
     return {k: v for k, v in mapping.items() if v is not None}
 
@@ -329,53 +330,16 @@ def _cmd_verify(args) -> int:
         payload = {"p": rep.p, "slack": rep.slack, "ok": rep.ok,
                    "lower_violations": rep.lower_violations,
                    "upper_violations": rep.upper_violations}
-    elif args.check == "embed":
-        A = matio.load_matrix(args.matrix)
-        lw = lewis_weights(A, args.p)
-        plan = plan_l1(lw.w, gamma=lw.gamma, eps=args.eps, delta=args.delta,
-                       d=A.shape[1], c_u=args.c_u)
-        devs = []
-        for t in range(args.trials):
-            sketch = realize(plan, rng.derive(args.seed, t))
-            r = embedding_check(A, sketch, args.p, args.eps,
-                                directions=args.directions,
-                                seed=rng.derive(args.seed, 0xD, t))
-            devs.append(r.max_ratio_dev)
-        devs = np.asarray(devs)
-        payload = {"check": "embed", "trials": args.trials,
-                   "pass_fraction": float(np.mean(devs <= args.eps)),
-                   "median_deviation": float(np.median(devs))}
-    elif args.check == "ruc":
-        inst, full = _instance_from_files(args)
-        lw = lewis_weights(inst.A, 1.0)
-        plan = plan_l1(lw.w, gamma=lw.gamma, eps=args.eps, delta=args.delta,
-                       d=inst.d, c_u=args.c_u)
-        rep = ruc_report(inst, plan, full.beta,
-                         BetaSample(directions=args.directions, seed=args.seed),
-                         eps=args.eps, delta=args.delta,
-                         trial_seeds=[rng.derive(args.seed, t) for t in range(args.trials)])
-        payload = {
-            "check": "ruc", "eps": rep.eps_target, "trials": rep.trials,
-            "pass_fraction": rep.pass_fraction,
-            "uncorrected_exceed_fraction": rep.uncorrected_exceed_fraction,
-            "median_violation": float(np.median(rep.max_rel_violations)),
-        }
-    else:  # cross
-        inst, full = _instance_from_files(args)
-        lw = lewis_weights(inst.A, args.p)
-        plan = plan_lp(lw.w, gamma=lw.gamma, eps=args.eps, delta=args.delta,
-                       d=inst.d, p=args.p, c_m=args.c_m)
-        y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
-        ratios = []
-        for t in range(args.trials):
-            sketch = realize(plan, rng.derive(args.seed, t))
-            r = cross_term_check(inst.A, y_centered, sketch, args.p,
-                                 BetaSample(directions=args.directions,
-                                            seed=rng.derive(args.seed, 0xD, t)),
-                                 m=plan.m, gamma=plan.gamma, delta=args.delta)
-            ratios.append(r.max_ratio)
-        payload = {"check": "cross", "m": plan.m, "trials": args.trials,
-                   "median_max_ratio": float(np.median(np.asarray(ratios)))}
+    else:
+        A, instance = _instance_from_files(args)
+        config = ExperimentConfig(
+            family=args.check, n=A.shape[0], d=A.shape[1], p=args.p,
+            eps=args.eps, delta=args.delta, c_u=args.c_u, c_m=args.c_m,
+            trials=args.trials, seed=args.seed, directions=args.directions,
+        )
+        _, aggregates, _ = run_trials(config, instance)
+        payload = {"check": args.check, "eps": args.eps, "trials": args.trials,
+                   **aggregates}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as f:
@@ -385,16 +349,15 @@ def _cmd_verify(args) -> int:
 
 
 def _instance_from_files(args):
-    if not args.matrix or not args.labels:
-        raise ValueError(f"--check {args.check} needs --matrix and --labels")
+    """A and what the check runs on: A itself for embed, else a RegressionInstance."""
+    labels = args.check != "embed"
+    if not args.matrix or (labels and not args.labels):
+        needs = "--matrix and --labels" if labels else "--matrix"
+        raise ValueError(f"--check {args.check} needs {needs}")
     A = matio.load_matrix(args.matrix)
-    y = matio.load_vector(args.labels)
-    inst = RegressionInstance(A, y, args.p)
-    if args.p == 1.0:
-        full = solve_weighted_l1(A, y)
-    else:
-        full = solve_weighted_lp(A, y, args.p, tol=1e-10)
-    return inst, full
+    if not labels:
+        return A, A
+    return A, RegressionInstance(A, matio.load_vector(args.labels), args.p)
 
 
 def _cmd_run(args) -> int:

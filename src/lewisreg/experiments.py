@@ -3,6 +3,12 @@
 Every experiment is deterministic given its config seed: instances, plans,
 and per-trial realizations all draw from seeds derived with `rng.derive`.
 Reports are JSON-ready dicts wrapped in a stable, versioned schema.
+
+Each family is two steps: an instance built from the config seed, then the
+trial loop on that instance (Lewis weights, plan, full-data minimizer where
+the family needs one, trials and aggregates). `run_experiment` does both;
+`run_trials` runs the second on a given instance, which is how
+`lewisreg verify` checks matrices and labels read from files.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,14 @@ from .lewis import lewis_weights
 from .linalg import weighted_lp_loss
 from .instances import gen_random, sign_recovery_experiment
 from .oracle import active_solve
-from .sampling import BERNOULLI_L1, POISSON_LP, plan_l1, plan_lp, plan_uniform, realize, support_size_bound
+from .sampling import (
+    BERNOULLI_L1, POISSON_LP, UNIFORM, plan_l1, plan_lp, plan_uniform, realize,
+    support_size_bound,
+)
 from .solvers import DEGENERATE, approx_transfer_bound, solve_weighted_l1, solve_weighted_lp
 from .verify import BetaSample, cross_term_check, embedding_check, ruc_check
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 FAMILIES = ("l1-endtoend", "lp-endtoend", "embed", "ruc", "cross", "coin")
 
@@ -61,7 +69,6 @@ class ExperimentConfig:
     coin_m_small: int = 25
     coin_m_large: int = 250_000
     coin_eps: float = 0.02
-    threads: int = 1
     out: str | None = None
 
     def validate(self) -> None:
@@ -73,8 +80,8 @@ class ExperimentConfig:
             raise ValueError("eps and delta must be in (0, 1)")
         if not 1.0 <= self.p <= 2.0:
             raise ValueError("p must be in [1, 2]")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.family == "cross" and not 1.0 < self.p < 2.0:
+            raise ValueError("cross-term experiments need p in (1, 2)")
 
 
 @dataclass
@@ -94,8 +101,8 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     t0 = time.perf_counter()
-    runner = _RUNNERS[config.family]
-    records, aggregates, passed = runner(config)
+    build, runner = _RUNNERS[config.family]
+    records, aggregates, passed = runner(config, build(config))
     return ExperimentReport(
         config=dataclasses.asdict(config),
         trials=records,
@@ -105,47 +112,49 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _map_trials(config: ExperimentConfig, fn, count: int) -> list:
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(t) for t in range(count)]
+def run_trials(config: ExperimentConfig, instance) -> tuple[list, dict, bool]:
+    """Trial records, aggregates and pass flag of `config.family` on `instance`.
+
+    `instance` is the data matrix for the embed family and a
+    `RegressionInstance` for the others; n and d in `config` must match it.
+    """
+    config.validate()
+    return _RUNNERS[config.family][1](config, instance)
 
 
-def _build_l1_pieces(config: ExperimentConfig):
-    gen = gen_random(
+def _random_instance(config: ExperimentConfig):
+    return gen_random(
         config.n, config.d,
         noise_std=config.noise_std,
         n_outliers=config.n_outliers,
         outlier_scale=config.outlier_scale,
         p=config.p,
         seed=rng.derive(config.seed, 0x01),
-    )
-    inst = gen.instance
-    lw = lewis_weights(inst.A, 1.0)
+    ).instance
+
+
+def _gaussian_matrix(config: ExperimentConfig):
+    return rng.normal_matrix(rng.derive(config.seed, 0x01), config.n, config.d)
+
+
+def _no_instance(config: ExperimentConfig):
+    return None
+
+
+def _plan(config: ExperimentConfig, A, lewis_p: float, scheme: str):
+    """The `scheme` plan of A from its Lewis weights at `lewis_p`."""
+    lw = lewis_weights(A, lewis_p)
+    if scheme == POISSON_LP:
+        return plan_lp(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
+                       d=config.d, p=config.p, m_override=config.m_target,
+                       c_m=config.c_m)
+    if scheme == UNIFORM:
+        return plan_uniform(config.n, int(config.m_target or config.n // 10))
     u_override = None
     if config.m_target is not None:
         u_override = lw.gamma * float(np.sum(lw.w)) / config.m_target
-    plan = plan_l1(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
+    return plan_l1(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
                    d=config.d, u_override=u_override, c_u=config.c_u)
-    return gen, inst, plan
-
-
-def _build_lp_pieces(config: ExperimentConfig):
-    gen = gen_random(
-        config.n, config.d,
-        noise_std=config.noise_std,
-        n_outliers=config.n_outliers,
-        outlier_scale=config.outlier_scale,
-        p=config.p,
-        seed=rng.derive(config.seed, 0x01),
-    )
-    inst = gen.instance
-    lw = lewis_weights(inst.A, config.p)
-    plan = plan_lp(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
-                   d=config.d, p=config.p, m_override=config.m_target,
-                   c_m=config.c_m)
-    return gen, inst, plan
 
 
 def _full_minimizer(inst):
@@ -155,9 +164,11 @@ def _full_minimizer(inst):
     return solve_weighted_lp(inst.A, y, inst.p, tol=1e-10)
 
 
-def _endtoend(config: ExperimentConfig) -> tuple[list, dict, bool]:
-    build = _build_l1_pieces if config.family == "l1-endtoend" else _build_lp_pieces
-    _, inst, plan = build(config)
+def _endtoend(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
+    if config.family == "l1-endtoend":
+        plan = _plan(config, inst.A, 1.0, BERNOULLI_L1)
+    else:
+        plan = _plan(config, inst.A, config.p, POISSON_LP)
     full = _full_minimizer(inst)
     L_star = full.objective
     y = inst.reveal_hidden_labels()
@@ -178,7 +189,7 @@ def _endtoend(config: ExperimentConfig) -> tuple[list, dict, bool]:
         return {"trial": t, "queries": queries, "ratio": ratio,
                 "within_budget": queries <= budget, "passed": bool(ok)}
 
-    records = _map_trials(config, one, config.trials)
+    records = [one(t) for t in range(config.trials)]
     ratios = np.array([r["ratio"] for r in records]) if records else np.array([])
     queries = np.array([r["queries"] for r in records]) if records else np.array([])
     npass = sum(r["passed"] for r in records)
@@ -199,21 +210,8 @@ def _endtoend(config: ExperimentConfig) -> tuple[list, dict, bool]:
     return records, aggregates, frac >= config.pass_fraction_required
 
 
-def _embed(config: ExperimentConfig) -> tuple[list, dict, bool]:
-    A = rng.normal_matrix(rng.derive(config.seed, 0x01), config.n, config.d)
-    lw = lewis_weights(A, config.p if config.p < 2.0 else 1.0)
-    if config.scheme == POISSON_LP:
-        plan = plan_lp(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
-                       d=config.d, p=config.p, m_override=config.m_target,
-                       c_m=config.c_m)
-    elif config.scheme == "uniform":
-        plan = plan_uniform(config.n, int(config.m_target or config.n // 10))
-    else:
-        u_override = None
-        if config.m_target is not None:
-            u_override = lw.gamma * float(np.sum(lw.w)) / config.m_target
-        plan = plan_l1(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
-                       d=config.d, u_override=u_override, c_u=config.c_u)
+def _embed(config: ExperimentConfig, A) -> tuple[list, dict, bool]:
+    plan = _plan(config, A, config.p if config.p < 2.0 else 1.0, config.scheme)
 
     def one(t: int) -> dict:
         sketch = realize(plan, rng.derive(config.seed, 0x02, t))
@@ -223,7 +221,7 @@ def _embed(config: ExperimentConfig) -> tuple[list, dict, bool]:
         return {"trial": t, "support": sketch.support_size,
                 "max_ratio_dev": rep.max_ratio_dev, "passed": rep.passed}
 
-    records = _map_trials(config, one, config.trials)
+    records = [one(t) for t in range(config.trials)]
     npass = sum(r["passed"] for r in records)
     frac = npass / config.trials if config.trials else 1.0
     aggregates = {
@@ -236,8 +234,8 @@ def _embed(config: ExperimentConfig) -> tuple[list, dict, bool]:
     return records, aggregates, frac >= config.pass_fraction_required
 
 
-def _ruc(config: ExperimentConfig) -> tuple[list, dict, bool]:
-    _, inst, plan = _build_l1_pieces(config)
+def _ruc(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
+    plan = _plan(config, inst.A, 1.0, BERNOULLI_L1)
     full = _full_minimizer(inst)
 
     def one(t: int) -> dict:
@@ -255,7 +253,7 @@ def _ruc(config: ExperimentConfig) -> tuple[list, dict, bool]:
             "uncorrected_exceeds": bool(trial.max_uncorrected > config.eps),
         }
 
-    records = _map_trials(config, one, config.trials)
+    records = [one(t) for t in range(config.trials)]
     corr = np.array([r["max_rel_violation"] for r in records])
     unc = np.array([r["max_uncorrected"] for r in records])
     npass = int(np.sum(corr <= config.eps)) if records else 0
@@ -271,10 +269,8 @@ def _ruc(config: ExperimentConfig) -> tuple[list, dict, bool]:
     return records, aggregates, frac >= config.pass_fraction_required
 
 
-def _cross(config: ExperimentConfig) -> tuple[list, dict, bool]:
-    if not 1.0 < config.p < 2.0:
-        raise ValueError("cross-term experiments need p in (1, 2)")
-    gen, inst, plan = _build_lp_pieces(config)
+def _cross(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
+    plan = _plan(config, inst.A, config.p, POISSON_LP)
     full = _full_minimizer(inst)
     y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
 
@@ -287,7 +283,7 @@ def _cross(config: ExperimentConfig) -> tuple[list, dict, bool]:
         return {"trial": t, "support": sketch.support_size,
                 "max_ratio": rep.max_ratio, "fitted_c": rep.fitted_c}
 
-    records = _map_trials(config, one, config.trials)
+    records = [one(t) for t in range(config.trials)]
     ratios = np.array([r["max_ratio"] for r in records])
     aggregates = {
         "m": plan.m,
@@ -299,7 +295,7 @@ def _cross(config: ExperimentConfig) -> tuple[list, dict, bool]:
     return records, aggregates, True
 
 
-def _coin(config: ExperimentConfig) -> tuple[list, dict, bool]:
+def _coin(config: ExperimentConfig, _) -> tuple[list, dict, bool]:
     eps = config.coin_eps
     n_prime = max(config.coin_m_large, config.coin_m_small)
     rate_small = sign_recovery_experiment(
@@ -319,13 +315,14 @@ def _coin(config: ExperimentConfig) -> tuple[list, dict, bool]:
     return records, aggregates, passed
 
 
+# family -> (instance built from the config seed, trial loop on an instance)
 _RUNNERS = {
-    "l1-endtoend": _endtoend,
-    "lp-endtoend": _endtoend,
-    "embed": _embed,
-    "ruc": _ruc,
-    "cross": _cross,
-    "coin": _coin,
+    "l1-endtoend": (_random_instance, _endtoend),
+    "lp-endtoend": (_random_instance, _endtoend),
+    "embed": (_gaussian_matrix, _embed),
+    "ruc": (_random_instance, _ruc),
+    "cross": (_random_instance, _cross),
+    "coin": (_no_instance, _coin),
 }
 
 SWEEP_AXES = ("m", "eps", "c_u")

@@ -59,6 +59,15 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
         raise DegenerateMatrixError(
             f"rank-deficient matrix: need rank {d} on nonzero rows"
         )
+    # Work buffers for every iteration's scaled matrix X and its product Y.
+    # Fresh n x d arrays each iteration cost page faults whenever the
+    # allocator hands their memory back to the system between iterations.
+    X, Y = np.empty_like(B), np.empty_like(B)
+    # Leverage scores do not change under column scaling, and a power of two
+    # is exact. Columns of max-abs in [0.5, 1) keep X^T X clear of underflow
+    # and overflow, so a matrix scaled by 1e+-170 stays on the Gram path.
+    # B is a copy (boolean indexing), so it is scaled in place.
+    np.ldexp(B, -np.frexp(np.abs(B, out=X).max(axis=0))[1], out=B)
     m = B.shape[0]
     w = np.full(m, d / m)
     residual = np.inf
@@ -67,7 +76,7 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
         # ratio a_i^T (...)^(-1) a_i / w_i^(2/p) equals tau_i / w_i.
-        tau = _scaled_leverage(B, w, p, tol)
+        tau = _scaled_leverage(B, w, p, tol, X, Y)
         residual = float(np.max(np.abs(tau / w - 1.0)))
         if not math.isfinite(residual):
             raise DegenerateMatrixError(
@@ -89,17 +98,19 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     )
 
 
-def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.ndarray:
+def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float,
+                     X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Leverage scores of X = diag(w^(1/2-1/p)) B: x_i^T (X^T X)^(-1) x_i.
 
-    The Gram route loses accuracy in proportion to eps * cond(X^T X). It is
-    used only while that error stays a hundredth of `tol`, so a residual it
-    reports below `tol` is one a QR would report too.
+    X and Y are work buffers shaped like B; both are overwritten. The Gram
+    route loses accuracy in proportion to eps * cond(X^T X). It is used only
+    while that error stays a hundredth of `tol`, so a residual it reports
+    below `tol` is one a QR would report too.
     """
     # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
     # factorization rejects, or a non-finite tau, which the caller rejects.
     with np.errstate(all="ignore"):
-        X = (w ** (0.5 - 1.0 / p))[:, None] * B
+        np.multiply((w ** (0.5 - 1.0 / p))[:, None], B, out=X)
         G = X.T @ X
         D = 1.0 / np.sqrt(np.diag(G))
         Gs = D[:, None] * G * D
@@ -111,7 +122,7 @@ def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float) -> np.n
     if not accurate:
         return _qr_leverage(X)
     # (X^T X)^(-1) = D L^(-T) L^(-1) D, so tau_i = ||x_i^T D L^(-T)||^2.
-    Y = X @ (D[:, None] * np.linalg.inv(L).T)
+    np.matmul(X, D[:, None] * np.linalg.inv(L).T, out=Y)
     return np.einsum("ij,ij->i", Y, Y)
 
 

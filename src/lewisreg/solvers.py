@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .linalg import as_matrix, as_vector, matrix_rank_cutoff, weighted_lp_loss
 
@@ -341,6 +340,9 @@ def _l1_kkt(A, y, s, beta, tie_tol) -> float:
     g0 = A.T @ (s * np.sign(np.where(ties, 0.0, r)))
     if not ties.any():
         return float(np.linalg.norm(g0) / scale)
+    # Imported here: scipy.optimize is most of the package's import time.
+    from scipy.optimize import lsq_linear
+
     C = (s[ties, None] * A[ties]).T  # d x (#ties)
     res = lsq_linear(C, -g0, bounds=(-1.0, 1.0))
     return float(np.linalg.norm(C @ res.x + g0) / scale)

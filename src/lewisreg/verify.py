@@ -20,7 +20,7 @@ from . import rng
 from .lewis import _ascend_ratio
 from .linalg import as_matrix, as_vector, lp_norm
 from .oracle import RegressionInstance
-from .sampling import SamplePlan, Sketch, realize
+from .sampling import Sketch
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,6 @@ class RucTrial:
     max_uncorrected: float       # |Ltilde - L| / L, same battery
     violation_at_star: float
     betas_evaluated: int
-
-
-@dataclass(frozen=True)
-class RucReport:
-    eps_target: float
-    trials: int
-    betas_per_trial: int
-    delta_values: np.ndarray
-    max_rel_violations: np.ndarray
-    max_uncorrected: np.ndarray
-    pass_fraction: float
-    uncorrected_exceed_fraction: float
 
 
 @dataclass(frozen=True)
@@ -196,38 +184,6 @@ def _ascend_scalar(fn, x0, rounds, seed) -> float:
             if step < 1e-12:
                 break
     return float(best)
-
-
-def ruc_report(
-    instance: RegressionInstance,
-    plan: SamplePlan,
-    beta_star,
-    betas: BetaSample = BetaSample(),
-    eps: float = 0.25,
-    delta: float = 0.1,
-    trial_seeds=range(100),
-) -> RucReport:
-    """Aggregate ruc_check over freshly realized sketches."""
-    trials = []
-    for t, s in enumerate(trial_seeds):
-        spec = BetaSample(directions=betas.directions,
-                          seed=rng.derive(betas.seed, t),
-                          radii=betas.radii,
-                          ascent_rounds=betas.ascent_rounds)
-        sketch = realize(plan, s)
-        trials.append(ruc_check(instance, sketch, beta_star, spec, eps, delta))
-    corr = np.array([t.max_rel_violation for t in trials])
-    unc = np.array([t.max_uncorrected for t in trials])
-    return RucReport(
-        eps_target=eps,
-        trials=len(trials),
-        betas_per_trial=trials[0].betas_evaluated if trials else 0,
-        delta_values=np.array([t.delta_value for t in trials]),
-        max_rel_violations=corr,
-        max_uncorrected=unc,
-        pass_fraction=float(np.mean(corr <= eps)) if trials else 1.0,
-        uncorrected_exceed_fraction=float(np.mean(unc > eps)) if trials else 0.0,
-    )
 
 
 def embedding_check(

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from lewisreg import matio
+from lewisreg import matio, rng
 from lewisreg.cli import main
+from lewisreg.experiments import ExperimentConfig, run_experiment
+from lewisreg.instances import gen_random
 
 
 def run(capsys, *argv):
@@ -112,6 +114,31 @@ def test_verify_taylor_and_sandwich(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("check,p", [("embed", 1.0), ("ruc", 1.0), ("cross", 1.5)])
+def test_verify_matches_run_experiment(tmp_path, capsys, check, p):
+    # The files hold the instance the runner builds from the same seed, so
+    # verify and run_experiment must agree to the last digit.
+    config = ExperimentConfig(family=check, n=500, d=3, p=p, eps=0.3, delta=0.1,
+                              c_u=0.5, c_m=0.6, trials=3, seed=5, directions=6)
+    if check == "embed":
+        A = rng.normal_matrix(rng.derive(config.seed, 1), config.n, config.d)
+        y = np.zeros(config.n)
+    else:
+        inst = gen_random(config.n, config.d, p=p, seed=rng.derive(config.seed, 1)).instance
+        A, y = inst.A, inst.reveal_hidden_labels()
+    mat, labels = str(tmp_path / "m.dmat"), str(tmp_path / "y.csv")
+    matio.save_matrix_binary(mat, A)
+    matio.save_vector(labels, y)
+    code, out = run(capsys, "verify", "--check", check, "--matrix", mat,
+                    "--labels", labels, "--p", str(p), "--eps", "0.3",
+                    "--delta", "0.1", "--trials", "3", "--directions", "6",
+                    "--seed", "5", "--c-u", "0.5", "--c-m", "0.6")
+    assert code == 0
+    payload = json.loads(out)
+    expected = run_experiment(config).aggregates
+    assert payload == {"check": check, "eps": 0.3, "trials": 3, **expected}
+
+
 def test_run_zero_trials_vacuous_pass(capsys):
     code, out = run(capsys, "run", "--preset", "l1-accept", "--trials", "0",
                     "--n", "500", "--d", "3")
@@ -130,15 +157,6 @@ def test_run_replay_identical_trial_records(capsys):
     t1 = json.dumps(json.loads(out1)["trials"], sort_keys=True)
     t2 = json.dumps(json.loads(out2)["trials"], sort_keys=True)
     assert t1 == t2
-
-
-def test_run_threads_match_serial(capsys):
-    base = ["run", "--preset", "l1-accept", "--n", "600", "--d", "3",
-            "--trials", "6", "--seed", "4"]
-    _, out1 = run(capsys, *base, "--threads", "1")
-    _, out2 = run(capsys, *base, "--threads", "2")
-    assert (json.dumps(json.loads(out1)["trials"], sort_keys=True)
-            == json.dumps(json.loads(out2)["trials"], sort_keys=True))
 
 
 def test_sweep_single_value_matches_run(capsys):
@@ -167,6 +185,9 @@ def test_sweep_writes_csv(tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing --preset
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "l1-accept", "--threads", "2"])  # no such option
     assert exc.value.code == 2
 
 

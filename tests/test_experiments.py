@@ -30,7 +30,7 @@ def test_config_validation():
 
 def test_report_embeds_config_and_version():
     rep = run_experiment(small_l1_config(trials=3))
-    assert rep.schema_version == 1
+    assert rep.schema_version == 2
     assert rep.tool_version
     assert rep.config["n"] == 3000
     assert len(rep.trials) == 3

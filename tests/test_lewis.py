@@ -120,6 +120,27 @@ def test_gram_path_matches_svd_reference(monkeypatch):
         assert _svd_residual(A, lw.w, p) <= 1e-8
 
 
+def test_extreme_matrix_scale_stays_on_gram_path(monkeypatch):
+    from lewisreg import lewis
+
+    calls = []
+    qr = lewis._qr_leverage
+
+    def counting_qr(X):
+        calls.append(X.shape)
+        return qr(X)
+
+    monkeypatch.setattr(lewis, "_qr_leverage", counting_qr)
+    A = np.random.default_rng(23).standard_normal((2000, 6))
+    base = lewis_weights(A, 1.0)
+    # Unscaled, X^T X underflows at 1e-170 and overflows at 1e170.
+    for c in (1e-170, 1e170):
+        lw = lewis_weights(c * A, 1.0)
+        assert lw.iterations == base.iterations
+        np.testing.assert_allclose(lw.w, base.w, rtol=1e-12)
+    assert calls == []
+
+
 def test_heavy_row_residual_holds_under_svd():
     # A coherent heavy row makes the Gram matrix ill-conditioned; a residual
     # claimed from Cholesky leverage scores there is off by ~100x.

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lewisreg
 from lewisreg import (
     approx_transfer_bound,
     solve_weighted_l1,
@@ -236,3 +241,12 @@ def test_solver_p_domain():
         solve_weighted_lp(np.ones((3, 1)), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         solve_weighted_lp(np.ones((3, 1)), np.zeros(3), 2.5)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only the L1 tie path needs it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lewisreg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lewisreg; sys.exit(3 if 'scipy.optimize' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

@@ -144,15 +144,3 @@ def test_taylor_claim_sup_finite_and_stable():
     assert all(np.isfinite(v) for v in sups)
     spread = (max(sups) - min(sups)) / min(sups)
     assert spread <= 0.1
-
-
-def test_ruc_report_aggregates():
-    inst, full = make_instance(n=600, d=3, seed=10)
-    lw = lr.lewis_weights(inst.A, 1.0)
-    plan = lr.plan_l1(lw.w, gamma=lw.gamma, eps=0.3, delta=0.1, d=3, c_u=0.4)
-    rep = lr.ruc_report(inst, plan, full.beta, BetaSample(directions=10, seed=0),
-                        eps=0.3, delta=0.1, trial_seeds=range(8))
-    assert rep.trials == 8
-    assert rep.delta_values.shape == (8,)
-    assert 0.0 <= rep.pass_fraction <= 1.0
-    assert np.all(rep.max_rel_violations >= 0)
