@@ -129,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--directions", type=int, default=40)
     v.add_argument("--samples", type=int, default=10**6)
-    v.add_argument("--starts", type=int, default=16)
     v.add_argument("--c-u", type=float, default=1.0)
     v.add_argument("--c-m", type=float, default=1.0)
     v.add_argument("--seed", type=int, default=0)
@@ -325,7 +324,7 @@ def _cmd_verify(args) -> int:
     elif args.check == "sandwich":
         A = matio.load_matrix(args.matrix)
         lw = lewis_weights(A, args.p)
-        iw = importance_weights(A, args.p, starts=args.starts, seed=args.seed)
+        iw = importance_weights(A, args.p)
         rep = sandwich_check(A, args.p, lw, iw)
         payload = {"p": rep.p, "slack": rep.slack, "ok": rep.ok,
                    "lower_violations": rep.lower_violations,

@@ -276,9 +276,7 @@ def _cross(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
 
     def one(t: int) -> dict:
         sketch = realize(plan, rng.derive(config.seed, 0x02, t))
-        spec = BetaSample(directions=config.directions,
-                          seed=rng.derive(config.seed, 0x03, t))
-        rep = cross_term_check(inst.A, y_centered, sketch, config.p, spec,
+        rep = cross_term_check(inst.A, y_centered, sketch, config.p,
                                m=plan.m, gamma=plan.gamma, delta=config.delta)
         return {"trial": t, "support": sketch.support_size,
                 "max_ratio": rep.max_ratio, "fitted_c": rep.fitted_c}
@@ -401,7 +399,6 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
         "scaling-cross": dict(
             family="cross", n=10_000, d=5, p=1.5, eps=0.3, delta=0.1,
             scheme=POISSON_LP, trials=30, seed=1, noise_std=1.0,
-            directions=20,
         ),
     }
     if name not in presets:

@@ -1,4 +1,4 @@
-"""Lewis weights, the brute-force importance-weight oracle, and row splitting.
+"""Lewis weights, the exact importance-weight oracle, and row splitting.
 
 The Lewis weights of A for a given p are the unique positive solution of
 
@@ -11,8 +11,10 @@ two n x d matrix products. When that factor fails or its condition number is
 too large for the iteration's tolerance, the iteration falls back to a
 reduced QR of X for that step. The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
-p < 2, so the oracle runs a multistart projected ascent and certifies a
-lower bound on the supremum.
+p < 2. It equals 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression
+on d - 1 coefficients once the constraint is eliminated, which the weighted
+L1 and Lp solvers solve exactly, so both sides of the sandwich
+d^-(1-p/2) w_i <= u_i <= w_i are checked.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .errors import DegenerateMatrixError
 from .linalg import as_matrix, leverage_scores, matrix_rank_cutoff
+from .solvers import solve_weighted_l1, solve_weighted_lp
 
 
 @dataclass(frozen=True)
@@ -149,127 +151,58 @@ def _claimed_gamma(residual: float, p: float) -> float:
 class ImportanceWeights:
     p: float
     u: np.ndarray
-    method: str           # "closed-form-1d" or "multistart-ascent"
-    starts: int
 
 
 def importance_weight_oracle(
     A, p: float, row: int, starts: int = 16, seed: int = 0
 ) -> float:
-    """Best found value of |a_row^T beta|^p / ||A beta||_p^p.
+    """Exact sup_beta |a_row^T beta|^p / ||A beta||_p^p (0 for a zero row).
 
-    Exact (closed form) for d = 1; otherwise a lower bound on the supremum
-    from projected ascent over the unit sphere, started at beta = a_row, at
-    the leverage and Lewis witnesses, and at `starts` random unit vectors.
+    `starts` and `seed` are accepted for compatibility and ignored.
     """
     A = as_matrix(A)
     if not 0 <= row < A.shape[0]:
         raise IndexError(f"row {row} out of range for {A.shape[0]} rows")
-    u = _importance_all(A, p, starts, seed, rows=[row])
-    return float(u[row])
+    return float(_importance_all(A, p, rows=[row])[row])
 
 
 def importance_weights(A, p: float, starts: int = 16, seed: int = 0) -> ImportanceWeights:
-    """Oracle values for every row of A."""
+    """Exact importance weights of every row of A, which must have full column rank.
+
+    `starts` and `seed` are accepted for compatibility and ignored.
+    """
     A = as_matrix(A)
-    u = _importance_all(A, p, starts, seed, rows=range(A.shape[0]))
-    method = "closed-form-1d" if A.shape[1] == 1 else "multistart-ascent"
-    return ImportanceWeights(p=p, u=u, method=method, starts=starts)
+    return ImportanceWeights(p=p, u=_importance_all(A, p, rows=range(A.shape[0])))
 
 
-def _importance_all(A, p, starts, seed, rows) -> np.ndarray:
+def _importance_all(A, p, rows) -> np.ndarray:
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
-    n, d = A.shape
-    u = np.zeros(n)
-    if d == 1:
-        total = np.sum(np.abs(A[:, 0]) ** p)
-        if total > 0:
-            u = np.abs(A[:, 0]) ** p / total
-        return u
-    gram_inv_A = _witnesses(A, p)
+    u = np.zeros(A.shape[0])
     for i in rows:
-        a = A[i]
-        if not np.any(a):
-            continue
-        starts_mat = _start_matrix(A, a, gram_inv_A[i], starts, seed, i)
-        u[i] = _ascend_ratio(A, a, p, starts_mat)
+        if np.any(A[i]):
+            u[i] = _sup_ratio(A, A[i], p)
     return u
 
 
-def _witnesses(A: np.ndarray, p: float) -> np.ndarray:
-    """Rows of A mapped through (A^T W^(1-2/p) A)^(-1) and (A^T A)^(-1)."""
-    n, d = A.shape
-    out = np.zeros((n, 2 * d))
-    try:
-        lev = np.linalg.solve(A.T @ A, A.T).T  # row i -> (A^T A)^(-1) a_i
-        out[:, :d] = lev
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        lw = lewis_weights(A, p, tol=1e-10, max_iter=200)
-        nz = lw.w > 0
-        scale = np.zeros(n)
-        scale[nz] = lw.w[nz] ** (1.0 - 2.0 / p)
-        G = A.T @ (scale[:, None] * A)
-        out[:, d:] = np.linalg.solve(G, A.T).T
-    except (DegenerateMatrixError, np.linalg.LinAlgError):
-        pass
-    return out
+def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:
+    """sup_b |v^T b|^p / ||A b||_p^p for nonzero v, as 1 / min{||A b||_p^p : v^T b = 1}.
 
-
-def _start_matrix(A, a, witness_row, starts, seed, row) -> np.ndarray:
-    d = A.shape[1]
-    rand = rng.normal_array(rng.derive(seed, 0x1A, row), np.arange(max(starts, 0)), d)
-    cand = np.vstack([a[None, :], witness_row.reshape(2, d), rand])
-    norms = np.linalg.norm(cand, axis=1)
-    keep = norms > 0
-    return cand[keep] / norms[keep, None]
-
-
-def _ascend_ratio(A, a, p, B0, max_rounds: int = 500) -> float:
-    """Maximize |a^T b|^p / ||A b||_p^p over unit b from each start in B0."""
-
-    def logratio(B):
-        t = B @ a
-        R = B @ A.T
-        energy = np.sum(np.abs(R) ** p, axis=1)
-        with np.errstate(divide="ignore"):
-            return p * np.log(np.abs(t)) - np.log(energy)
-
-    B = B0.copy()
-    f = logratio(B)
-    step = np.full(B.shape[0], 0.25)
-    stall = 0
-    best = np.max(f)
-    for _ in range(max_rounds):
-        t = B @ a
-        R = B @ A.T
-        energy = np.sum(np.abs(R) ** p, axis=1)
-        psi = np.abs(R) ** (p - 1.0) * np.sign(R)
-        tt = np.where(np.abs(t) > 1e-300, t, 1e-300)
-        G = p * a[None, :] / tt[:, None] - p * (psi @ A) / energy[:, None]
-        gn = np.linalg.norm(G, axis=1)
-        gn[gn == 0] = 1.0
-        cand = B + (step / gn)[:, None] * G
-        cn = np.linalg.norm(cand, axis=1)
-        cn[cn == 0] = 1.0
-        cand /= cn[:, None]
-        fc = logratio(cand)
-        ok = fc > f
-        B[ok] = cand[ok]
-        f[ok] = fc[ok]
-        step[ok] = np.minimum(step[ok] * 1.3, 1.0)
-        step[~ok] *= 0.5
-        new_best = np.max(f)
-        if new_best <= best + 1e-14:
-            stall += 1
-            if stall >= 40 or np.max(step) < 1e-16:
-                break
-        else:
-            stall = 0
-            best = new_best
-    return float(np.exp(best))
+    The feasible b are b0 + N c, with b0 = v / ||v||^2 and N an orthonormal
+    basis of v's orthogonal complement, so the minimum is the unconstrained
+    Lp regression of -A b0 on A N. At d = 1 the feasible set is b0 alone.
+    A must have full column rank, which makes A N full rank too.
+    """
+    if matrix_rank_cutoff(A) < A.shape[1]:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
+    Vt = np.linalg.svd(v[None, :])[2]       # Vt[0] = +-v / ||v||, Vt[1:] = N^T
+    b = Vt[0] / (Vt[0] @ v)
+    if A.shape[1] > 1:
+        N = Vt[1:].T
+        AN, y = A @ N, -(A @ b)
+        res = solve_weighted_l1(AN, y) if p == 1.0 else solve_weighted_lp(AN, y, p)
+        b = b + N @ res.beta
+    return 1.0 / float(np.sum(np.abs(A @ b) ** p))
 
 
 @dataclass(frozen=True)
@@ -290,8 +223,8 @@ def sandwich_check(A, p: float, lw: LewisWeights, iw: ImportanceWeights,
                    slack: float = 1e-3) -> SandwichReport:
     """Check d^(-(1-p/2)) w_i <= u_i <= w_i per row, up to `slack`.
 
-    The oracle lower-bounds the true supremum, so the lower inequality is the
-    strict assertion; the upper one is certified only up to the oracle's gap.
+    The importance weights are exact suprema, so both inequalities are
+    checked to the solvers' accuracy.
     """
     A = as_matrix(A)
     if not lw.converged:

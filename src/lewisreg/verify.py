@@ -1,10 +1,12 @@
 """Empirical certification of the sampling guarantees.
 
-The checks here approximate suprema over beta by structured sampling: random
-directions crossed with a radius grid that covers the three regimes where the
-loss difference behaves differently (small, intermediate, and dominant
-||A(beta - beta*)|| relative to the optimal loss), plus a local ascent from
-the worst sampled point. All of it is harness instrumentation: computing the
+The RUC and embedding checks approximate suprema over beta by structured
+sampling: random directions crossed with a radius grid that covers the three
+regimes where the loss difference behaves differently (small, intermediate,
+and dominant ||A(beta - beta*)|| relative to the optimal loss), plus a local
+ascent from the worst sampled point. The cross term is linear in beta, so its
+normalized supremum is computed exactly, as the importance weight of a
+vector (see `lewis`). All of it is harness instrumentation: computing the
 full-data minimizer and reading all labels is allowed here, never in the
 query-limited solve path.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .lewis import _ascend_ratio
+from .lewis import _sup_ratio
 from .linalg import as_matrix, as_vector, lp_norm
 from .oracle import RegressionInstance
 from .sampling import Sketch
@@ -208,7 +210,6 @@ def cross_term_check(
     y_centered,
     sketch: Sketch,
     p: float,
-    betas: BetaSample = BetaSample(),
     m: float | None = None,
     gamma: float = 1.0,
     delta: float = 0.1,
@@ -217,8 +218,10 @@ def cross_term_check(
     """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta.
 
     Requires y_centered to be the residual at the full-data minimizer so the
-    unweighted cross term vanishes identically; the weighted one is linear in
-    beta, so its normalized supremum is found by ascent over the unit sphere.
+    unweighted cross term vanishes identically. The weighted one is v^T beta
+    for a fixed v, so its normalized supremum is the exact
+    sup_beta |v^T beta|^p / ||A beta||_p^p, solved as a constrained Lp
+    regression.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must be in (1, 2), got {p}")
@@ -237,9 +240,7 @@ def cross_term_check(
     if y_norm == 0 or not np.any(v):
         max_ratio = 0.0
     else:
-        starts = _cross_starts(A, v, betas)
-        best = _ascend_ratio(A, v, p, starts, max_rounds=400)
-        max_ratio = best ** (1.0 / p) / y_norm ** (p - 1.0)
+        max_ratio = _sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)
     reference = None
     fitted = None
     if m is not None and m > 0:
@@ -248,20 +249,6 @@ def cross_term_check(
         fitted = max_ratio / reference
     return CrossTermReport(p=p, max_ratio=float(max_ratio), reference=reference,
                            fitted_c=fitted, precondition_residual=rel)
-
-
-def _cross_starts(A, v, betas: BetaSample) -> np.ndarray:
-    d = A.shape[1]
-    cands = [v]
-    try:
-        cands.append(np.linalg.solve(A.T @ A, v))
-    except np.linalg.LinAlgError:
-        pass
-    rand = rng.normal_matrix(rng.derive(betas.seed, 0xC0), max(betas.directions // 4, 4), d)
-    cand = np.vstack([np.asarray(cands), rand])
-    norms = np.linalg.norm(cand, axis=1)
-    keep = norms > 0
-    return cand[keep] / norms[keep, None]
 
 
 def taylor_remainder_ratio(t, p: float):

@@ -109,7 +109,7 @@ def test_verify_taylor_and_sandwich(tmp_path, capsys):
     mat = str(tmp_path / "m.csv")
     matio.save_matrix_csv(mat, np.random.default_rng(4).standard_normal((15, 2)))
     code, out = run(capsys, "verify", "--check", "sandwich", "--matrix", mat,
-                    "--p", "1.0", "--starts", "6", "--seed", "2")
+                    "--p", "1.0", "--seed", "2")
     assert code == 0
     assert json.loads(out)["ok"] is True
 
@@ -188,6 +188,10 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["run", "--preset", "l1-accept", "--threads", "2"])  # no such option
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "sandwich", "--matrix", "m.csv",
+              "--starts", "6"])  # no such option
     assert exc.value.code == 2
 
 

@@ -193,6 +193,12 @@ def test_importance_zero_row():
     assert importance_weight_oracle(A, 1.0, 0) == 0.0
 
 
+def test_importance_rank_deficient_raises():
+    for A in (np.ones((5, 2)), np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])):
+        with pytest.raises(DegenerateMatrixError):
+            importance_weights(A, 1.5)
+
+
 def test_importance_hypercube_matches_angle_grid():
     A = hypercube_rows()
     thetas = np.linspace(0.0, np.pi, 200001)
@@ -209,8 +215,49 @@ def test_importance_p2_equals_leverage():
     A = np.random.default_rng(8).standard_normal((25, 3))
     lev = leverage_scores(A).scores
     iw = importance_weights(A, 2.0, starts=6, seed=1)
-    np.testing.assert_allclose(iw.u, lev, rtol=1e-7)
-    assert iw.method == "multistart-ascent"
+    np.testing.assert_allclose(iw.u, lev, rtol=1e-9)
+
+
+def sandwich_corpus_matrix(k):
+    """Instance k of the acceptance criterion-3 corpus."""
+    r = np.random.default_rng(2000 + k)
+    n = int(r.integers(8, 51))
+    d = int(r.integers(2, 5))
+    return r.standard_normal((max(n, 2 * d), d))
+
+
+def sweep_sup(A, v, p):
+    """max over 200 001 unit b in R^2 of |v^T b|^p / ||A b||_p^p."""
+    thetas = np.linspace(0.0, np.pi, 200_001)
+    B = np.stack([np.cos(thetas), np.sin(thetas)])
+    return float(np.max(np.abs(v @ B) ** p / np.sum(np.abs(A @ B) ** p, axis=0)))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_importance_p1_matches_lp(k):
+    # u_i = min{||z||_inf : A^T z = a_i} by LP duality.
+    from scipy.optimize import linprog
+
+    A = sandwich_corpus_matrix(k)
+    n, d = A.shape
+    c = np.r_[np.zeros(n), 1.0]
+    bound = np.block([[np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))]])
+    eq = np.hstack([A.T, np.zeros((d, 1))])
+    exact = np.array([
+        linprog(c, A_ub=bound, b_ub=np.zeros(2 * n), A_eq=eq, b_eq=A[i],
+                bounds=[(None, None)] * n + [(0, None)], method="highs").fun
+        for i in range(n)
+    ])
+    np.testing.assert_allclose(importance_weights(A, 1.0).u, exact, rtol=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_importance_d2_matches_angle_sweep(p):
+    A = np.random.default_rng(21).standard_normal((30, 2))
+    u = importance_weights(A, p).u
+    for i in range(A.shape[0]):
+        sweep = sweep_sup(A, A[i], p)
+        assert sweep * (1 - 1e-12) <= u[i] <= sweep * (1 + 1e-4)
 
 
 def test_sandwich_identity_and_ones():

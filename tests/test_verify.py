@@ -86,8 +86,7 @@ def test_embedding_sampled_sketch_finite_deviation():
 def test_cross_term_zero_for_full_sketch():
     inst, full = make_instance(n=500, d=3, seed=7, p=1.5)
     y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
-    rep = lr.cross_term_check(inst.A, y_centered, full_sketch(inst.n), 1.5,
-                              BetaSample(directions=8, seed=1))
+    rep = lr.cross_term_check(inst.A, y_centered, full_sketch(inst.n), 1.5)
     # with s = 1 the cross term is the optimality condition, identically ~0
     assert rep.max_ratio <= 1e-6
     assert rep.precondition_residual <= 1e-6
@@ -107,10 +106,26 @@ def test_cross_term_sampled_sketch():
     plan = lr.plan_lp(lw.w, gamma=lw.gamma, d=4, p=1.5, m_override=400.0)
     sketch = lr.realize(plan, 3)
     rep = lr.cross_term_check(inst.A, y_centered, sketch, 1.5,
-                              BetaSample(directions=10, seed=2),
                               m=plan.m, gamma=plan.gamma, delta=0.1)
     assert rep.max_ratio > 0.0
     assert rep.fitted_c == pytest.approx(rep.max_ratio / rep.reference)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_cross_term_d2_matches_angle_sweep(p):
+    inst, full = make_instance(n=300, d=2, seed=10, p=p)
+    y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
+    lw = lr.lewis_weights(inst.A, p)
+    plan = lr.plan_lp(lw.w, gamma=lw.gamma, d=2, p=p, m_override=60.0)
+    sketch = lr.realize(plan, 5)
+    rep = lr.cross_term_check(inst.A, y_centered, sketch, p)
+    psi = p * np.abs(y_centered) ** (p - 1.0) * np.sign(y_centered)
+    v = inst.A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
+    thetas = np.linspace(0.0, np.pi, 200_001)
+    B = np.stack([np.cos(thetas), np.sin(thetas)])
+    sup = np.max(np.abs(v @ B) ** p / np.sum(np.abs(inst.A @ B) ** p, axis=0))
+    sweep = sup ** (1.0 / p) / np.sum(np.abs(y_centered) ** p) ** ((p - 1.0) / p)
+    assert sweep * (1 - 1e-12) <= rep.max_ratio <= sweep * (1 + 1e-4)
 
 
 def test_taylor_ratio_examples():
