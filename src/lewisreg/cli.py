@@ -311,7 +311,7 @@ def _cmd_solve(args) -> int:
         "objective": res.objective,
         "iterations": res.iterations,
         "status": res.status,
-        "kkt_residual": res.kkt_residual,
+        "gap": res.gap,
     }, sort_keys=True))
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateMatrixError
 from .linalg import as_matrix, leverage_scores, matrix_rank_cutoff
-from .solvers import solve_weighted_l1, solve_weighted_lp
+from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,9 @@ def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:
     The feasible b are b0 + N c, with b0 = v / ||v||^2 and N an orthonormal
     basis of v's orthogonal complement, so the minimum is the unconstrained
     Lp regression of -A b0 on A N. At d = 1 the feasible set is b0 alone.
-    A must have full column rank, which makes A N full rank too.
+    A must have full column rank, which makes A N full rank too. The
+    regression must be certified to its duality-gap tolerance, or this
+    raises RuntimeError, so the value is the supremum, not a lower bound.
     """
     if matrix_rank_cutoff(A) < A.shape[1]:
         raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
@@ -201,6 +203,9 @@ def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:
         N = Vt[1:].T
         AN, y = A @ N, -(A @ b)
         res = solve_weighted_l1(AN, y) if p == 1.0 else solve_weighted_lp(AN, y, p)
+        if res.status != CONVERGED:
+            raise RuntimeError(
+                f"reduced regression not certified: {res.status}, gap {res.gap:.2e}")
         b = b + N @ res.beta
     return 1.0 / float(np.sum(np.abs(A @ b) ** p))
 

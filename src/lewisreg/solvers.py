@@ -1,15 +1,15 @@
-"""Weighted L1/Lp regression solvers.
+"""Weighted L1/Lp regression solvers with duality-gap certificates.
 
-Both losses are minimized by iteratively reweighted least squares with a
-residual floor `mu` annealed over outer stages (p < 2 weights blow up at zero
-residuals). IRLS alone lands close but not sharp, so each loss gets a polish:
-for L1 an exact edge walk (any 1-D restriction of the loss is piecewise
-linear, so line searches are weighted medians), for p > 1 damped Newton.
+L1 is a linear program, solved exactly by a Barrodale-Roberts simplex walk
+from the weighted least-squares point. For p in (1, 2), IRLS with an annealed
+residual floor, then damped Newton; p = 2 is the least-squares point. Each
+solve is certified by weak duality: `SolveResult.gap` is the relative gap
+between the objective and a dual lower bound, and the status is `converged`
+exactly when the gap is at most `tol`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,9 @@ MAX_ITER = "max-iter"
 DEGENERATE = "degenerate"
 
 _MU_STAGES = [1e-2 * 0.1**k for k in range(9)]  # 1e-2 .. 1e-10, x0.1 per stage
+# The walk counts a residual or edge slope as zero below this times cond(Q_B)
+# and its row's size; on 300 tie-heavy integer inputs rounding reached 1.5 eps.
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class SolveResult:
     objective: float
     iterations: int
     status: str
-    kkt_residual: float
+    gap: float          # (objective - dual lower bound) / objective
 
 
 def approx_transfer_bound(eps: float) -> float:
@@ -47,22 +50,26 @@ def weighted_median(values, weights) -> float:
         raise ValueError("values and weights must be nonempty and equal length")
     if np.any(w < 0):
         raise ValueError("negative weight")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    total = cum[-1]
+    total = float(np.sum(w))
     if total <= 0:
         raise ValueError("total weight must be positive")
-    k = int(np.searchsorted(cum, 0.5 * total))
-    return float(v[order][k])
+    order, k = _first_reaching(v, w, 0.5 * total)
+    return float(v[order[k]])
 
 
-def solve_weighted_l1(A, y, s=None, tol: float = 1e-8, max_outer: int = 100,
-                      trace=None) -> SolveResult:
-    """Minimize sum_i s_i |a_i^T beta - y_i| to relative accuracy tol.
+def _first_reaching(t, w, level):
+    """Sort order of t and the first position where the cumulative weight reaches level."""
+    order = np.argsort(t, kind="stable")
+    cum = np.cumsum(w[order])
+    return order, min(int(np.searchsorted(cum, level)), t.size - 1)
 
-    `trace`, if a list, receives the objective after every accepted step.
+
+def solve_weighted_l1(A, y, s=None, tol: float = 1e-8, trace=None) -> SolveResult:
+    """Minimize sum_i s_i |a_i^T beta - y_i| exactly, certified to relative gap tol.
+
+    `trace`, if a list, receives the objective at the start and after every move.
     """
-    return _solve(A, y, s, p=1.0, tol=tol, max_outer=max_outer, trace=trace)
+    return _solve(A, y, s, p=1.0, tol=tol, trace=trace)
 
 
 def solve_weighted_lp(A, y, p: float, s=None, tol: float = 1e-8, max_outer: int = 100,
@@ -73,7 +80,7 @@ def solve_weighted_lp(A, y, p: float, s=None, tol: float = 1e-8, max_outer: int 
     return _solve(A, y, s, p=p, tol=tol, max_outer=max_outer, trace=trace)
 
 
-def _solve(A, y, s, p, tol, max_outer, trace=None) -> SolveResult:
+def _solve(A, y, s, p, tol, max_outer=100, trace=None) -> SolveResult:
     A = as_matrix(A)
     y = as_vector(y, "labels")
     if A.shape[0] != y.size:
@@ -94,76 +101,20 @@ def _solve(A, y, s, p, tol, max_outer, trace=None) -> SolveResult:
             objective=weighted_lp_loss(A, y, beta, s, p),
             iterations=0,
             status=DEGENERATE,
-            kkt_residual=math.inf,
+            gap=np.inf,
         )
 
-    if d == 1 and p == 1.0:
-        beta = np.array([_l1_scalar_exact(As[:, 0], ys, ss)])
-        obj = weighted_lp_loss(A, y, beta, s, p)
-        kkt = _l1_kkt(As, ys, ss, beta, 1e-9 * obj / float(np.sum(ss)))
-        return SolveResult(beta=beta, objective=obj, iterations=1,
-                           status=CONVERGED if kkt <= tol else MAX_ITER,
-                           kkt_residual=kkt)
-
     beta = _weighted_lstsq(As, ys, ss)
-    iterations = 1
-    obj = weighted_lp_loss(As, ys, beta, ss, p)
-    if p == 2.0:
-        kkt = _lp_kkt(As, ys, ss, beta, p)
-        return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
-                           iterations=iterations,
-                           status=CONVERGED if kkt <= max(tol, 1e-10) else MAX_ITER,
-                           kkt_residual=kkt)
-
-    total_w = float(np.sum(ss))
-    loss_scale = obj / total_w
-    if trace is not None:
-        trace.append(obj)
-    if loss_scale == 0.0:  # exact interpolation at the least-squares point
-        return SolveResult(beta=beta, objective=0.0, iterations=iterations,
-                           status=CONVERGED, kkt_residual=0.0)
-    r_scale = loss_scale ** (1.0 / p)
-
-    final_stage = len(_MU_STAGES) - 1
-    for si, stage_mu in enumerate(_MU_STAGES):
-        mu = stage_mu * r_scale
-        final = si == final_stage and p > 1.0
-        inner_cap = max_outer if final else max(8, max_outer // 4)
-        for _ in range(inner_cap):
-            if final and _lp_kkt(As, ys, ss, beta, p) <= tol:
-                break
-            r = As @ beta - ys
-            w_irls = ss * np.maximum(np.abs(r), mu) ** (p - 2.0)
-            cand = _weighted_lstsq(As, ys, w_irls)
-            iterations += 1
-            cand_obj = weighted_lp_loss(As, ys, cand, ss, p)
-            if cand_obj > obj:
-                cand, cand_obj = _backtrack(As, ys, ss, p, beta, cand, obj)
-            if cand_obj > obj:
-                break
-            progressed = obj - cand_obj > 0.1 * tol * max(obj, loss_scale)
-            beta, obj = cand, cand_obj
-            if trace is not None:
-                trace.append(obj)
-            # the final Lp stage runs on the gradient criterion alone
-            if not progressed and not final:
-                break
-
     if p == 1.0:
-        beta, obj, steps = _l1_polish(As, ys, ss, beta, obj)
-        iterations += steps
-        if trace is not None:
-            trace.append(obj)
-        kkt = _l1_kkt(As, ys, ss, beta, 1e-9 * r_scale)
+        beta, iterations, zhat = _l1_walk(As, ys, ss, beta, trace)
     else:
-        beta, obj, steps = _newton_polish(As, ys, ss, p, beta, obj, tol, r_scale)
-        iterations += steps
-        if trace is not None:
-            trace.append(obj)
-        kkt = _lp_kkt(As, ys, ss, beta, p)
-    status = CONVERGED if kkt <= tol else MAX_ITER
+        beta, iterations = _lp_irls(As, ys, ss, p, beta, tol, max_outer, trace)
+        r = As @ beta - ys
+        zhat = p * np.abs(r) ** (p - 1.0) * np.sign(r)
+    gap = _duality_gap(As, ys, ss, p, beta, zhat)
     return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
-                       iterations=iterations, status=status, kkt_residual=kkt)
+                       iterations=iterations, status=CONVERGED if gap <= tol else MAX_ITER,
+                       gap=gap)
 
 
 def _weighted_lstsq(A, y, w) -> np.ndarray:
@@ -179,6 +130,160 @@ def _pinv_lstsq(A, y, s) -> np.ndarray:
     return np.linalg.pinv(sw[:, None] * A) @ (sw * y)
 
 
+def _duality_gap(A, y, s, p, beta, zhat) -> float:
+    """(objective - bound) / objective for the dual vector z = s * zhat (None: exact fit).
+
+    f_i* is the indicator of |z| <= s_i at p = 1, else s_i (p-1) (|z|/(p s_i))^q.
+    z is projected onto null(A^T) in the norm sum_i dz_i^2 / m_i: m_i = s_i^2 at
+    p = 1, then z is scaled into the box; for p > 1, m_i = s_i |r_i|^(p-2), so
+    rows whose gradient is rounding noise absorb the correction.
+    """
+    r = A @ beta - y
+    objective = float(np.sum(s * np.abs(r) ** p))
+    if zhat is None or objective == 0.0:
+        return 0.0
+    floored = np.maximum(np.abs(r), 1e-16 * np.max(np.abs(r)))
+    root = s if p == 1.0 else np.sqrt(s * floored ** (p - 2.0))
+    V, u = root[:, None] * A, s * zhat / root
+    zhat = root * (u - V @ np.linalg.lstsq(V, u, rcond=None)[0]) / s
+    bound = -float(np.sum(s * zhat * y))
+    if p == 1.0:
+        bound /= max(1.0, float(np.max(np.abs(zhat))))
+    else:
+        bound -= (p - 1.0) * float(np.sum(s * (np.abs(zhat) / p) ** (p / (p - 1.0))))
+    return (objective - bound) / objective
+
+
+def _l1_walk(A, y, s, beta, trace):
+    """Barrodale-Roberts walk from beta to an optimal vertex of sum_i s_i |A beta - y|_i.
+
+    Nonbasic rows carry sigma_i = sign(r_i); a zero residual keeps the side it
+    came from (the LP's basic u_i or v_i). At basis B, lam solves A_B^T (s_B lam)
+    = -sum_{i not in B} s_i sigma_i a_i, and releasing row k along a_k^T eta =
+    tau changes the loss at rate s_k (1 - tau lam_k). Pivots release the largest
+    |lam_k| > 1, or after a zero-length step use Bland's rule over LP indices
+    (u_i -> i, v_i -> n + i). Runs on Q of A = QR, whose bases are only as
+    ill-conditioned as their rows. Returns A_B^-1 y_B, the line searches, and
+    z / s (sigma off B, lam on it), or None for an exact fit.
+    """
+    n, d = A.shape
+    Q, R = np.linalg.qr(A)
+    row_norms = np.abs(Q).sum(axis=1)
+    sigma, basis = np.ones(n), []
+
+    def residuals(x, cond):
+        r = Q @ x - y
+        if trace is not None:
+            trace.append(float(np.sum(s * np.abs(r))))
+        r[np.abs(r) <= _ROUNDING * cond * (row_norms * np.max(np.abs(x)) + np.abs(y))] = 0.0
+        r[basis] = 0.0
+        sigma[:] = np.where(r > 0, 1.0, np.where(r < 0, -1.0, sigma))
+        sigma[basis] = 0.0
+        return r
+
+    def edge(eta, cond):
+        c = Q @ eta
+        c[basis] = 0.0
+        return c, np.abs(c) > _ROUNDING * cond * row_norms * np.max(np.abs(eta))
+
+    # d line searches, each in the null space of the rows fitted so far, reach a vertex
+    x = R @ beta
+    r = residuals(x, 1.0)
+    for k in range(d):
+        N = np.linalg.qr(Q[basis].T, mode="complete")[0][:, k:]
+        eta = -N @ (N.T @ (Q.T @ (s * sigma)))      # projected subgradient
+        eta = eta if np.any(eta) else N[:, 0]
+        c, live = edge(eta, 1.0)
+        rows = np.flatnonzero(live)
+        t, w = -r[rows] / c[rows], s[rows] * np.abs(c[rows])
+        order, m = _first_reaching(t, w, 0.5 * np.sum(w))
+        x = x + t[order[m]] * eta
+        basis.append(int(rows[order[m]]))
+        r = residuals(x, 1.0)
+
+    bland, moved, cap = False, True, 10 * (n + d)
+    for pivots in range(cap + 1):
+        QB = Q[basis]
+        cond = np.linalg.cond(QB)
+        if moved:
+            r = residuals(np.linalg.solve(QB, y[basis]), cond)
+        if not np.any(r):
+            return np.linalg.solve(A[basis], y[basis]), d + pivots, None
+        lam = np.linalg.solve(QB.T, -(Q.T @ (s * sigma))) / s[basis]
+        out = np.flatnonzero(np.abs(lam) > 1.0 + 1e-12)
+        if out.size == 0 or pivots == cap:
+            break
+        pick = np.asarray(basis)[out] + n * (lam[out] < 0) if bland else -np.abs(lam[out])
+        k = int(out[np.argmin(pick)])
+        tau = float(np.sign(lam[k]))
+        c, live = edge(np.linalg.solve(QB, tau * np.eye(d)[k]), cond)
+        rows = np.flatnonzero(live & (sigma * c < 0))   # rows that would cross zero
+        if rows.size == 0:
+            break
+        t = -r[rows] / c[rows]
+        order, m = _first_reaching(t, 2.0 * s[rows] * np.abs(c[rows]),
+                                   s[basis[k]] * (np.abs(lam[k]) - 1.0))
+        moved = t[order[m]] > 0.0
+        if not moved and bland:
+            ties = rows[t == 0.0]
+            j = int(ties[np.argmin(ties + n * (sigma[ties] < 0))])
+        else:
+            j = int(rows[order[m]])
+            sigma[rows[order[:m]]] *= -1.0                  # rows passed on the way
+        sigma[basis[k]], sigma[j] = tau, 0.0
+        basis[k] = j
+        bland = not moved
+    zhat = sigma.copy()
+    zhat[basis] = lam
+    return np.linalg.solve(A[basis], y[basis]), d + pivots, zhat
+
+
+def _lp_irls(A, y, s, p, beta, tol, max_outer, trace):
+    """IRLS whose floor `mu` on |r| anneals over stages, then Newton; (beta, iterations)."""
+    iterations = 1
+    obj = weighted_lp_loss(A, y, beta, s, p)
+    if p == 2.0:
+        return beta, iterations
+
+    total_w = float(np.sum(s))
+    loss_scale = obj / total_w
+    if trace is not None:
+        trace.append(obj)
+    if loss_scale == 0.0:  # exact interpolation at the least-squares point
+        return beta, iterations
+    r_scale = loss_scale ** (1.0 / p)
+
+    final_stage = len(_MU_STAGES) - 1
+    for si, stage_mu in enumerate(_MU_STAGES):
+        mu = stage_mu * r_scale
+        final = si == final_stage
+        inner_cap = max_outer if final else max(8, max_outer // 4)
+        for _ in range(inner_cap):
+            if final and _lp_kkt(A, y, s, beta, p) <= tol:
+                break
+            r = A @ beta - y
+            w_irls = s * np.maximum(np.abs(r), mu) ** (p - 2.0)
+            cand = _weighted_lstsq(A, y, w_irls)
+            iterations += 1
+            cand_obj = weighted_lp_loss(A, y, cand, s, p)
+            if cand_obj > obj:
+                cand, cand_obj = _backtrack(A, y, s, p, beta, cand, obj)
+            if cand_obj > obj:
+                break
+            progressed = obj - cand_obj > 0.1 * tol * max(obj, loss_scale)
+            beta, obj = cand, cand_obj
+            if trace is not None:
+                trace.append(obj)
+            # the final stage runs on the gradient criterion alone
+            if not progressed and not final:
+                break
+
+    beta, obj, steps = _newton_polish(A, y, s, p, beta, obj, tol, r_scale)
+    if trace is not None:
+        trace.append(obj)
+    return beta, iterations + steps
+
+
 def _backtrack(A, y, s, p, beta, cand, obj):
     """Halve the step toward `cand` until the objective does not increase."""
     t = 0.5
@@ -189,72 +294,6 @@ def _backtrack(A, y, s, p, beta, cand, obj):
             return mid, mid_obj
         t *= 0.5
     return beta, obj
-
-
-def _l1_scalar_exact(col, y, s) -> float:
-    """Exact d = 1 minimizer: weighted median of y_i/a_i with weights s_i |a_i|."""
-    nz = col != 0.0
-    return weighted_median(y[nz] / col[nz], s[nz] * np.abs(col[nz]))
-
-
-def _l1_polish(A, y, s, beta, obj, max_moves: int = 200):
-    """Descend the piecewise-linear loss by exact line searches along edges.
-
-    The minimizer lies where d independent residuals vanish. Each move fixes
-    the current near-zero ("active") rows, takes a direction in the null space
-    of the active rows (so active residuals stay zero), and minimizes exactly
-    along it with a weighted median. At a full vertex the candidate directions
-    are the d edges obtained by releasing one active row. Stops when no
-    direction improves, which is the subgradient optimality condition.
-    """
-    d = A.shape[1]
-    beta = beta.copy()
-    r = A @ beta - y
-    scale = float(np.mean(np.abs(r))) + 1e-300
-    steps = 0
-    for _ in range(max_moves):
-        steps += 1
-        active = np.nonzero(np.abs(r) <= 1e-9 * scale)[0]
-        improved = False
-        for eta in _edge_directions(A, active, d):
-            c = A @ eta
-            nz = np.abs(c) > 1e-14
-            if not nz.any():
-                continue
-            t = weighted_median(-r[nz] / c[nz], s[nz] * np.abs(c[nz]))
-            if t == 0.0:
-                continue
-            cand = beta + t * eta
-            cand_r = A @ cand - y
-            cand_obj = float(np.sum(s * np.abs(cand_r)))
-            if cand_obj < obj - 1e-15 * max(obj, 1.0):
-                beta, obj, r = cand, cand_obj, cand_r
-                improved = True
-                break
-        if not improved:
-            break
-    return beta, obj, steps
-
-
-def _edge_directions(A, active, d):
-    """Null-space directions of the active rows; at a vertex, its d edges."""
-    if active.size == 0:
-        yield from np.eye(d)
-        return
-    if active.size < d:
-        for eta in _nullspace(A[active]).T:
-            yield eta
-        return
-    for k in range(active.size):
-        rest = np.delete(active, k)
-        for eta in _nullspace(A[rest]).T:
-            yield eta
-
-
-def _nullspace(M):
-    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-    return Vt[rank:].T
 
 
 def _newton_polish(A, y, s, p, beta, obj, tol, r_scale, rounds: int = 20):
@@ -315,7 +354,7 @@ def _gradient_scale(A, s, mags) -> float:
 
 
 def _lp_kkt(A, y, s, beta, p) -> float:
-    """Relative norm of sum_i s_i p |r_i|^(p-1) sign(r_i) a_i."""
+    """Relative gradient norm: the stopping test of the final IRLS stage."""
     r = A @ beta - y
     mags = p * np.abs(r) ** (p - 1.0)
     g = A.T @ (s * mags * np.sign(r))
@@ -323,26 +362,3 @@ def _lp_kkt(A, y, s, beta, p) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(g) / scale)
-
-
-def _l1_kkt(A, y, s, beta, tie_tol) -> float:
-    """Minimal-norm subgradient of the weighted L1 loss, relative to its scale.
-
-    Rows with |r_i| <= tie_tol contribute a free coefficient in [-1, 1]; the
-    minimization over those coefficients is a small box-constrained least
-    squares problem.
-    """
-    r = A @ beta - y
-    scale = _gradient_scale(A, s, np.ones_like(r))
-    if scale == 0.0:
-        return 0.0
-    ties = np.abs(r) <= tie_tol
-    g0 = A.T @ (s * np.sign(np.where(ties, 0.0, r)))
-    if not ties.any():
-        return float(np.linalg.norm(g0) / scale)
-    # Imported here: scipy.optimize is most of the package's import time.
-    from scipy.optimize import lsq_linear
-
-    C = (s[ties, None] * A[ties]).T  # d x (#ties)
-    res = lsq_linear(C, -g0, bounds=(-1.0, 1.0))
-    return float(np.linalg.norm(C @ res.x + g0) / scale)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lewisreg import lewis as lewis_module
 from lewisreg import (
     DegenerateMatrixError,
+    SolveResult,
     gen_random,
     importance_weight_oracle,
     importance_weights,
@@ -249,6 +251,26 @@ def test_importance_p1_matches_lp(k):
         for i in range(n)
     ])
     np.testing.assert_allclose(importance_weights(A, 1.0).u, exact, rtol=1e-9)
+
+
+@pytest.mark.parametrize("k, row", [(14, 18), (16, 7), (17, 16)])
+def test_sup_ratio_reduced_solve_certified(monkeypatch, k, row):
+    # Optimal to 1e-13, but a relative-gradient test called these max-iter:
+    # near p = 1 the gradient at a tiny residual is rounding noise.
+    A = sandwich_corpus_matrix(k)
+    solve, results = lewis_module.solve_weighted_lp, []
+    monkeypatch.setattr(lewis_module, "solve_weighted_lp",
+                        lambda *args: results.append(solve(*args)) or results[-1])
+    lewis_module._sup_ratio(A, A[row], 1.25)
+    assert [r.status for r in results] == ["converged"]
+
+
+def test_sup_ratio_rejects_uncertified_solve(monkeypatch):
+    A = sandwich_corpus_matrix(0)
+    monkeypatch.setattr(lewis_module, "solve_weighted_lp", lambda AN, y, p: SolveResult(
+        beta=np.zeros(AN.shape[1]), objective=1.0, iterations=1, status="max-iter", gap=1e-3))
+    with pytest.raises(RuntimeError, match="not certified"):
+        lewis_module._sup_ratio(A, A[0], 1.5)
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5])
