@@ -202,7 +202,8 @@ def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:
     if A.shape[1] > 1:
         N = Vt[1:].T
         AN, y = A @ N, -(A @ b)
-        res = solve_weighted_l1(AN, y) if p == 1.0 else solve_weighted_lp(AN, y, p)
+        res = (solve_weighted_l1(AN, y) if p == 1.0
+               else solve_weighted_lp(AN, y, p, tol=1e-12))
         if res.status != CONVERGED:
             raise RuntimeError(
                 f"reduced regression not certified: {res.status}, gap {res.gap:.2e}")

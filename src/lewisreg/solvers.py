@@ -1,11 +1,11 @@
 """Weighted L1/Lp regression solvers with duality-gap certificates.
 
 L1 is a linear program, solved exactly by a Barrodale-Roberts simplex walk
-from the weighted least-squares point. For p in (1, 2), IRLS with an annealed
-residual floor, then damped Newton; p = 2 is the least-squares point. Each
+from the weighted least-squares point. For p in (1, 2], damped Newton from
+the same point, each step an exact line search; p = 2 needs no step. Each
 solve is certified by weak duality: `SolveResult.gap` is the relative gap
 between the objective and a dual lower bound, and the status is `converged`
-exactly when the gap is at most `tol`.
+exactly when the gap is at most `tol`. The Lp loop stops on that gap.
 """
 
 from __future__ import annotations
@@ -20,17 +20,18 @@ CONVERGED = "converged"
 MAX_ITER = "max-iter"
 DEGENERATE = "degenerate"
 
-_MU_STAGES = [1e-2 * 0.1**k for k in range(9)]  # 1e-2 .. 1e-10, x0.1 per stage
+_NEWTON_CAP = 100
+_EPS = np.finfo(float).eps
 # The walk counts a residual or edge slope as zero below this times cond(Q_B)
 # and its row's size; on 300 tie-heavy integer inputs rounding reached 1.5 eps.
-_ROUNDING = 16 * np.finfo(float).eps
+_ROUNDING = 16 * _EPS
 
 
 @dataclass(frozen=True)
 class SolveResult:
     beta: np.ndarray
     objective: float
-    iterations: int
+    iterations: int     # L1: walk line searches; p > 1: Newton steps
     status: str
     gap: float          # (objective - dual lower bound) / objective
 
@@ -72,15 +73,17 @@ def solve_weighted_l1(A, y, s=None, tol: float = 1e-8, trace=None) -> SolveResul
     return _solve(A, y, s, p=1.0, tol=tol, trace=trace)
 
 
-def solve_weighted_lp(A, y, p: float, s=None, tol: float = 1e-8, max_outer: int = 100,
-                      trace=None) -> SolveResult:
-    """Minimize sum_i s_i |a_i^T beta - y_i|^p for p in (1, 2]."""
+def solve_weighted_lp(A, y, p: float, s=None, tol: float = 1e-8, trace=None) -> SolveResult:
+    """Minimize sum_i s_i |a_i^T beta - y_i|^p for p in (1, 2], certified to relative gap tol.
+
+    `trace`, if a list, receives the objective at the start and after every step.
+    """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must be in (1, 2], got {p}")
-    return _solve(A, y, s, p=p, tol=tol, max_outer=max_outer, trace=trace)
+    return _solve(A, y, s, p=p, tol=tol, trace=trace)
 
 
-def _solve(A, y, s, p, tol, max_outer=100, trace=None) -> SolveResult:
+def _solve(A, y, s, p, tol, trace) -> SolveResult:
     A = as_matrix(A)
     y = as_vector(y, "labels")
     if A.shape[0] != y.size:
@@ -107,11 +110,9 @@ def _solve(A, y, s, p, tol, max_outer=100, trace=None) -> SolveResult:
     beta = _weighted_lstsq(As, ys, ss)
     if p == 1.0:
         beta, iterations, zhat = _l1_walk(As, ys, ss, beta, trace)
+        gap = _duality_gap(As, ys, ss, p, beta, zhat)[0]
     else:
-        beta, iterations = _lp_irls(As, ys, ss, p, beta, tol, max_outer, trace)
-        r = As @ beta - ys
-        zhat = p * np.abs(r) ** (p - 1.0) * np.sign(r)
-    gap = _duality_gap(As, ys, ss, p, beta, zhat)
+        beta, iterations, gap = _lp_newton(As, ys, ss, p, beta, tol, trace)
     return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
                        iterations=iterations, status=CONVERGED if gap <= tol else MAX_ITER,
                        gap=gap)
@@ -130,28 +131,39 @@ def _pinv_lstsq(A, y, s) -> np.ndarray:
     return np.linalg.pinv(sw[:, None] * A) @ (sw * y)
 
 
-def _duality_gap(A, y, s, p, beta, zhat) -> float:
-    """(objective - bound) / objective for the dual vector z = s * zhat (None: exact fit).
+def _duality_gap(A, y, s, p, beta, zhat):
+    """(objective - bound) / objective for the dual vector z = s * zhat, and the
+    coefficient c of z's projection.
 
     f_i* is the indicator of |z| <= s_i at p = 1, else s_i (p-1) (|z|/(p s_i))^q.
     z is projected onto null(A^T) in the norm sum_i dz_i^2 / m_i: m_i = s_i^2 at
     p = 1, then z is scaled into the box; for p > 1, m_i = s_i |r_i|^(p-2), so
-    rows whose gradient is rounding noise absorb the correction.
+    rows whose gradient is rounding noise absorb the correction. The bound is
+    z^T r - sum_i f_i*(z_i): on null(A^T) that is the dual objective -z^T y -
+    sum_i f_i*(z_i), but the projection's rounding A^T z enters times beta -
+    beta* instead of times beta*. For p > 1 and zhat = p |r|^(p-1) sign r, c is
+    -p (p-1) times the Newton step with that floored curvature. An exact fit
+    gives (0, None): zhat None from the walk, or for p > 1 every residual
+    within the rounding of computing it.
     """
     r = A @ beta - y
     objective = float(np.sum(s * np.abs(r) ** p))
+    rounding = (A.shape[1] + 1) * _EPS
+    if p > 1.0 and np.all(np.abs(r) <= rounding * (np.abs(A) @ np.abs(beta) + np.abs(y))):
+        zhat = None
     if zhat is None or objective == 0.0:
-        return 0.0
+        return 0.0, None
     floored = np.maximum(np.abs(r), 1e-16 * np.max(np.abs(r)))
     root = s if p == 1.0 else np.sqrt(s * floored ** (p - 2.0))
     V, u = root[:, None] * A, s * zhat / root
-    zhat = root * (u - V @ np.linalg.lstsq(V, u, rcond=None)[0]) / s
-    bound = -float(np.sum(s * zhat * y))
+    c = np.linalg.lstsq(V, u, rcond=None)[0]
+    zhat = root * (u - V @ c) / s
+    bound = float(np.sum(s * zhat * r))
     if p == 1.0:
         bound /= max(1.0, float(np.max(np.abs(zhat))))
     else:
         bound -= (p - 1.0) * float(np.sum(s * (np.abs(zhat) / p) ** (p / (p - 1.0))))
-    return (objective - bound) / objective
+    return (objective - bound) / objective, c
 
 
 def _l1_walk(A, y, s, beta, trace):
@@ -238,127 +250,52 @@ def _l1_walk(A, y, s, beta, trace):
     return np.linalg.solve(A[basis], y[basis]), d + pivots, zhat
 
 
-def _lp_irls(A, y, s, p, beta, tol, max_outer, trace):
-    """IRLS whose floor `mu` on |r| anneals over stages, then Newton; (beta, iterations)."""
-    iterations = 1
-    obj = weighted_lp_loss(A, y, beta, s, p)
-    if p == 2.0:
-        return beta, iterations
+def _lp_newton(A, y, s, p, beta, tol, trace):
+    """Damped Newton from beta on sum_i s_i |A beta - y|_i^p, 1 < p <= 2.
 
-    total_w = float(np.sum(s))
-    loss_scale = obj / total_w
-    if trace is not None:
-        trace.append(obj)
-    if loss_scale == 0.0:  # exact interpolation at the least-squares point
-        return beta, iterations
-    r_scale = loss_scale ** (1.0 / p)
-
-    final_stage = len(_MU_STAGES) - 1
-    for si, stage_mu in enumerate(_MU_STAGES):
-        mu = stage_mu * r_scale
-        final = si == final_stage
-        inner_cap = max_outer if final else max(8, max_outer // 4)
-        for _ in range(inner_cap):
-            if final and _lp_kkt(A, y, s, beta, p) <= tol:
-                break
-            r = A @ beta - y
-            w_irls = s * np.maximum(np.abs(r), mu) ** (p - 2.0)
-            cand = _weighted_lstsq(A, y, w_irls)
-            iterations += 1
-            cand_obj = weighted_lp_loss(A, y, cand, s, p)
-            if cand_obj > obj:
-                cand, cand_obj = _backtrack(A, y, s, p, beta, cand, obj)
-            if cand_obj > obj:
-                break
-            progressed = obj - cand_obj > 0.1 * tol * max(obj, loss_scale)
-            beta, obj = cand, cand_obj
-            if trace is not None:
-                trace.append(obj)
-            # the final stage runs on the gradient criterion alone
-            if not progressed and not final:
-                break
-
-    beta, obj, steps = _newton_polish(A, y, s, p, beta, obj, tol, r_scale)
-    if trace is not None:
-        trace.append(obj)
-    return beta, iterations + steps
-
-
-def _backtrack(A, y, s, p, beta, cand, obj):
-    """Halve the step toward `cand` until the objective does not increase."""
-    t = 0.5
-    while t > 1e-6:
-        mid = beta + t * (cand - beta)
-        mid_obj = weighted_lp_loss(A, y, mid, s, p)
-        if mid_obj <= obj:
-            return mid, mid_obj
-        t *= 0.5
-    return beta, obj
-
-
-def _newton_polish(A, y, s, p, beta, obj, tol, r_scale, rounds: int = 20):
-    """Damped Newton steps on the smooth (p > 1) loss to sharpen the gradient.
-
-    Near the minimum the objective is flat to double precision while the
-    gradient still carries signal, so a step is also accepted when it shrinks
-    the gradient norm (objective slack stays inside the 1e-12 monotonicity
-    budget).
+    Stops at the first iterate whose duality gap is at most tol, at a step
+    that would raise the objective, or after `_NEWTON_CAP` steps. Each step
+    is `_duality_gap`'s Newton direction with an exact line search over
+    [0, 1]. Returns (beta, steps, gap).
     """
-    beta = beta.copy()
-    steps = 0
-
-    def grad_norm(b):
-        r = A @ b - y
-        mags = p * np.abs(r) ** (p - 1.0)
-        return float(np.linalg.norm(A.T @ (s * mags * np.sign(r))))
-
-    gn = grad_norm(beta)
-    for _ in range(rounds):
-        r = A @ beta - y
-        mags = p * np.abs(r) ** (p - 1.0)
-        g = A.T @ (s * mags * np.sign(r))
-        gscale = _gradient_scale(A, s, mags)
-        if gscale == 0.0 or gn <= 0.01 * tol * gscale:
-            break
-        h = s * p * (p - 1.0) * np.maximum(np.abs(r), 1e-12 * r_scale) ** (p - 2.0)
-        H = A.T @ (h[:, None] * A)
-        ridge = 1e-12 * np.trace(H) / A.shape[1]
-        try:
-            delta = np.linalg.solve(H + ridge * np.eye(A.shape[1]), -g)
-        except np.linalg.LinAlgError:
-            break
-        steps += 1
-        t = 1.0
-        accepted = False
-        while t > 1e-8:
-            cand = beta + t * delta
-            cand_obj = weighted_lp_loss(A, y, cand, s, p)
-            cand_gn = grad_norm(cand)
-            strict_descent = cand_obj < obj
-            flat_but_sharper = (
-                cand_gn < 0.99 * gn and cand_obj <= obj + 1e-13 * max(obj, 1.0)
-            )
-            if strict_descent or flat_but_sharper:
-                beta, obj, gn = cand, cand_obj, cand_gn
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    return beta, obj, steps
-
-
-def _gradient_scale(A, s, mags) -> float:
-    row_norms = np.linalg.norm(A, axis=1)
-    return float(np.sum(s * mags * row_norms))
-
-
-def _lp_kkt(A, y, s, beta, p) -> float:
-    """Relative gradient norm: the stopping test of the final IRLS stage."""
     r = A @ beta - y
-    mags = p * np.abs(r) ** (p - 1.0)
-    g = A.T @ (s * mags * np.sign(r))
-    scale = _gradient_scale(A, s, mags)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(g) / scale)
+    obj = float(np.sum(s * np.abs(r) ** p))
+    if trace is not None:
+        trace.append(obj)
+    for steps in range(_NEWTON_CAP + 1):
+        gap, c = _duality_gap(A, y, s, p, beta, p * np.abs(r) ** (p - 1.0) * np.sign(r))
+        if gap <= tol or steps == _NEWTON_CAP:
+            break
+        step = c / (-p * (p - 1.0))
+        t = _line_search(r, A @ step, s, p)
+        cand = beta + t * step
+        r_cand = A @ cand - y
+        cand_obj = float(np.sum(s * np.abs(r_cand) ** p))
+        if t == 0.0 or cand_obj > obj:
+            break
+        beta, r, obj = cand, r_cand, cand_obj
+        if trace is not None:
+            trace.append(obj)
+    return beta, steps, gap
+
+
+def _line_search(r, dr, s, p) -> float:
+    """Minimizer over [0, 1] of the convex t -> sum_i s_i |r_i + t dr_i|^p.
+
+    60 bisections of the slope; the returned t has slope <= 0, so it does
+    not raise the loss above t = 0.
+    """
+    def slope(t):
+        x = r + t * dr
+        return float(np.sum(s * np.abs(x) ** (p - 1.0) * np.sign(x) * dr))
+
+    if slope(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

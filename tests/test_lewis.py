@@ -256,18 +256,20 @@ def test_importance_p1_matches_lp(k):
 @pytest.mark.parametrize("k, row", [(14, 18), (16, 7), (17, 16)])
 def test_sup_ratio_reduced_solve_certified(monkeypatch, k, row):
     # Optimal to 1e-13, but a relative-gradient test called these max-iter:
-    # near p = 1 the gradient at a tiny residual is rounding noise.
+    # near p = 1 the gradient at a tiny residual is rounding noise. Stopped
+    # on the duality gap, the solve takes a few Newton steps.
     A = sandwich_corpus_matrix(k)
     solve, results = lewis_module.solve_weighted_lp, []
     monkeypatch.setattr(lewis_module, "solve_weighted_lp",
-                        lambda *args: results.append(solve(*args)) or results[-1])
+                        lambda *args, **kw: results.append(solve(*args, **kw)) or results[-1])
     lewis_module._sup_ratio(A, A[row], 1.25)
     assert [r.status for r in results] == ["converged"]
+    assert results[0].iterations <= 20
 
 
 def test_sup_ratio_rejects_uncertified_solve(monkeypatch):
     A = sandwich_corpus_matrix(0)
-    monkeypatch.setattr(lewis_module, "solve_weighted_lp", lambda AN, y, p: SolveResult(
+    monkeypatch.setattr(lewis_module, "solve_weighted_lp", lambda AN, y, p, **kw: SolveResult(
         beta=np.zeros(AN.shape[1]), objective=1.0, iterations=1, status="max-iter", gap=1e-3))
     with pytest.raises(RuntimeError, match="not certified"):
         lewis_module._sup_ratio(A, A[0], 1.5)

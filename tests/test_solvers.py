@@ -17,7 +17,7 @@ from lewisreg import (
 
 def subgradient_l1_oracle(A, y, s=None, epochs=30, iters_per_epoch=2500):
     """Independent long-horizon reference: subgradient descent with geometric
-    step decay restarted from the incumbent. Touches none of the IRLS path."""
+    step decay restarted from the incumbent. Shares no code with the solvers."""
     n, d = A.shape
     s = np.ones(n) if s is None else s
     sw = np.sqrt(s)
@@ -292,46 +292,80 @@ def _tie_instance(seed):
     return A, y, s
 
 
-def _l1_fuzz_cases():
-    """(label, A, y, s, reference optimum) for the HiGHS comparison."""
+def _minimize_lp(A, y, s, p):
+    """Weighted Lp optimum by scipy BFGS, evaluated at BFGS's own point.
+
+    BFGS runs on Q of A = QR, which has the same optimum and keeps the
+    collinear inputs well conditioned. The value is an upper bound on the
+    optimum up to the rounding of evaluating the loss.
+    """
+    from scipy.optimize import minimize
+
+    Q = np.linalg.qr(A)[0]
+    sw = np.sqrt(s)
+    x0 = np.linalg.lstsq(sw[:, None] * Q, sw * y, rcond=None)[0]
+
+    def loss(x):
+        r = Q @ x - y
+        grad = Q.T @ (s * p * np.abs(r) ** (p - 1.0) * np.sign(r))
+        return float(np.sum(s * np.abs(r) ** p)), grad
+
+    x = minimize(loss, x0, jac=True, method="BFGS", options={"gtol": 0.0}).x
+    return weighted_lp_loss(Q, y, x, s, p)
+
+
+def _fuzz_cases(reference, p=1.0):
+    """(label, A, y, s, reference(A, y, s)) on the fuzz inputs, for the loss exponent p."""
     for k in range(24):
         A, y, s = _tie_instance(k)
-        yield f"ties-{k}", A, y, s, _highs_l1(A, y, s)
+        yield f"ties-{k}", A, y, s, reference(A, y, s)
     for k in range(3):
         A, y, s = _tie_instance(100 + k)
         rep = np.random.default_rng(k).integers(1, 4, size=A.shape[0])
         A, y, s = np.repeat(A, rep, axis=0), np.repeat(y, rep), np.repeat(s, rep)
-        yield f"duplicates-{k}", A, y, s, _highs_l1(A, y, s)
+        yield f"duplicates-{k}", A, y, s, reference(A, y, s)
     for k in range(3):
         gen = lewisreg.gen_random(200, 5, n_outliers=3, heavy_row_scale=1e6, seed=k)
         A, y, s = gen.instance.A, gen.instance.reveal_hidden_labels(), np.ones(200)
-        yield f"heavy-row-{k}", A, y, s, _highs_l1(A, y, s)
+        yield f"heavy-row-{k}", A, y, s, reference(A, y, s)
     for k in range(3):
         r = np.random.default_rng(200 + k)
         A = r.standard_normal((150, 4))
         A[:, 1] = A[:, 0] + 1e-6 * r.standard_normal(150)
         y = A @ r.standard_normal(4) + r.laplace(size=150)
         s = r.uniform(0.5, 2.0, 150)
-        yield f"collinear-{k}", A, y, s, _highs_l1(A, y, s)
+        yield f"collinear-{k}", A, y, s, reference(A, y, s)
     for k, d in enumerate((3, 4, 5)):
         r = np.random.default_rng(300 + k)
         A, y, s = r.standard_normal((d, d)), r.standard_normal(d), np.ones(d)
-        yield f"square-{d}", A, y, s, _highs_l1(A, y, s)
-    # Magnitudes of 1e+-100: the loss scales by c_y c_s, so HiGHS solves the
-    # unscaled instance.
+        yield f"square-{d}", A, y, s, reference(A, y, s)
+    # Magnitudes of 1e+-100: the loss scales by c_s c_y^p, so the reference
+    # solves the unscaled instance.
     for k, (c_a, c_y, c_s) in enumerate([(1e100, 1e100, 1.0), (1e-100, 1e-100, 1.0),
                                          (1.0, 1.0, 1e100), (1e100, 1e-100, 1e-100)]):
         A, y, s = _tie_instance(400 + k)
-        yield f"magnitude-{k}", c_a * A, c_y * y, c_s * s, c_y * c_s * _highs_l1(A, y, s)
+        yield f"magnitude-{k}", c_a * A, c_y * y, c_s * s, c_s * c_y**p * reference(A, y, s)
 
 
 def test_l1_fuzz_matches_highs():
     eps = np.finfo(float).eps
-    for label, A, y, s, best in _l1_fuzz_cases():
+    for label, A, y, s, best in _fuzz_cases(_highs_l1):
         res = solve_weighted_l1(A, y, s)
         # The loss at beta is only known to the rounding of its residuals.
         rounding = (A.shape[1] + 1) * eps * float(
             np.sum(s * (np.abs(A) @ np.abs(res.beta) + np.abs(y))))
         assert res.status == "converged", (label, res.gap)
         assert res.objective <= best * (1 + 1e-12) + rounding, (label, res.objective, best)
+        assert res.objective * (1 - res.gap) <= best + rounding, (label, res.gap, best)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+def test_lp_fuzz_matches_minimize(p):
+    eps = np.finfo(float).eps
+    for label, A, y, s, best in _fuzz_cases(lambda *args: _minimize_lp(*args, p), p):
+        res = solve_weighted_lp(A, y, p, s, tol=1e-10)
+        rounding = (A.shape[1] + 1) * eps * float(
+            np.sum(s * (np.abs(A) @ np.abs(res.beta) + np.abs(y))))
+        assert res.status == "converged", (label, res.gap)
+        assert res.objective <= best * (1 + 1e-10) + rounding, (label, res.objective, best)
         assert res.objective * (1 - res.gap) <= best + rounding, (label, res.gap, best)
