@@ -9,6 +9,11 @@ normalized supremum is computed exactly, as the importance weight of a
 vector (see `lewis`). All of it is harness instrumentation: computing the
 full-data minimizer and reading all labels is allowed here, never in the
 query-limited solve path.
+
+Battery losses are computed a few megabytes of residual columns at a time,
+each block taken to |.|^p in place. The RUC ascent moves along fixed
+directions, so their images under A and A_s are computed once per trial and
+each candidate is scored from the carried residual vectors, with no mat-vec.
 """
 
 from __future__ import annotations
@@ -69,6 +74,14 @@ class TaylorReport:
     argmax_t: float
 
 
+# `_loss_batch` holds one block of residual columns at a time, about
+# _BLOCK_BYTES (32 columns at n = 20 000), small enough to stay near the cache.
+# BLAS kernels compute columns in groups of up to _BLOCK_ALIGN, so block
+# widths that are multiples of it round every column the same way.
+_BLOCK_BYTES = 5 << 20
+_BLOCK_ALIGN = 16
+
+
 def default_radii(eps: float, delta: float) -> tuple:
     """Radius grid covering the three regimes of the loss-difference argument."""
     edge = 25.0 / (eps * delta)
@@ -78,11 +91,15 @@ def default_radii(eps: float, delta: float) -> tuple:
     return inner + middle + outer
 
 
-def _beta_battery(A, beta_star, L_star, p, spec: BetaSample, eps, delta) -> np.ndarray:
-    n, d = A.shape
-    dirs = rng.normal_matrix(rng.derive(spec.seed, 0xBE), spec.directions, d)
+def _unit_directions(seed: int, count: int, d: int) -> np.ndarray:
+    """The nonzero rows of a seeded Gaussian (count, d) draw, scaled to unit length."""
+    dirs = rng.normal_matrix(seed, count, d)
     norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 0] / norms[norms > 0, None]
+    return dirs[norms > 0] / norms[norms > 0, None]
+
+
+def _beta_battery(A, beta_star, L_star, p, spec: BetaSample, eps, delta) -> np.ndarray:
+    dirs = _unit_directions(rng.derive(spec.seed, 0xBE), spec.directions, A.shape[1])
     radii = spec.radii if spec.radii is not None else default_radii(eps, delta)
     base = L_star if L_star > 0 else 1.0
     rows = [beta_star[None, :]]
@@ -95,14 +112,39 @@ def _beta_battery(A, beta_star, L_star, p, spec: BetaSample, eps, delta) -> np.n
     return np.vstack(rows)
 
 
-def _loss_batch(A, y, betas, p, s=None, chunk: int = 256) -> np.ndarray:
-    """L(beta) (or the s-weighted loss) for every row of `betas`."""
-    out = np.empty(betas.shape[0])
-    for lo in range(0, betas.shape[0], chunk):
-        hi = min(lo + chunk, betas.shape[0])
-        R = np.abs(A @ betas[lo:hi].T - y[:, None]) ** p
+def _block_columns(n: int) -> int:
+    """Battery columns per block of `_loss_batch` for n rows."""
+    return max(_BLOCK_ALIGN, _BLOCK_BYTES // (8 * n) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+
+
+def _loss_batch(A, y, betas, p, s=None) -> np.ndarray:
+    """L(beta) (or the s-weighted loss) for every row of `betas`; y=None is y = 0.
+
+    With one BLAS thread a column's value does not depend on the block width,
+    since widths are multiples of _BLOCK_ALIGN. A last block of one column
+    joins the one before it, because numpy computes a lone column by other
+    routines (a mat-vec and a pairwise sum) that round differently.
+    """
+    k = betas.shape[0]
+    cols = _block_columns(A.shape[0])
+    out = np.empty(k)
+    lo = 0
+    while lo < k:
+        hi = lo + cols if k - lo > cols + 1 else k
+        R = A @ betas[lo:hi].T
+        if y is not None:
+            R -= y[:, None]
+        np.abs(R, out=R)
+        if p != 1.0:
+            np.power(R, p, out=R)
         out[lo:hi] = (s @ R) if s is not None else R.sum(axis=0)
+        lo = hi
     return out
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 def ruc_check(
@@ -119,6 +161,8 @@ def ruc_check(
     maximized over the battery plus a local ascent, and the uncorrected
     |Ltilde(b) - L(b)| / L(b) over the same battery.
     """
+    _check_unit_interval("eps", eps)
+    _check_unit_interval("delta", delta)
     A = instance.A
     p = instance.p
     y = instance.reveal_hidden_labels()
@@ -142,16 +186,13 @@ def ruc_check(
     corrected[good] = np.abs((Lt[good] - Lt_star) - (L[good] - L_star)) / L[good]
     uncorrected[good] = np.abs(Lt[good] - L[good]) / L[good]
 
-    def violation(beta):
-        Lb = float(_loss_batch(A, y, beta[None, :], p)[0])
-        if Lb <= 0:
-            return 0.0
-        Ltb = float(_loss_batch(A_s, y_s, beta[None, :], p, s=w_s)[0])
-        return abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
-
     worst = int(np.argmax(corrected))
-    refined = _ascend_scalar(violation, B[worst], betas.ascent_rounds,
-                             rng.derive(betas.seed, 0xAC))
+    dirs = _unit_directions(rng.derive(betas.seed, 0xAC), betas.ascent_rounds, A.shape[1])
+    x0 = B[worst]
+    refined = _ruc_climb(
+        A @ x0 - y, dirs @ A.T, A_s @ x0 - y_s, dirs @ A_s.T, w_s, p,
+        L_star, Lt_star, 0.5 * max(np.linalg.norm(x0), 1.0),
+    )
     return RucTrial(
         delta_value=delta_corr,
         max_rel_violation=max(float(np.max(corrected)), refined),
@@ -161,24 +202,31 @@ def ruc_check(
     )
 
 
-def _ascend_scalar(fn, x0, rounds, seed) -> float:
-    """Greedy random-direction hill climb on fn from x0."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    best = fn(x)
-    step = 0.5 * max(np.linalg.norm(x), 1.0)
-    dirs = rng.normal_matrix(seed, max(rounds, 1), x.size)
-    for k in range(rounds):
-        eta = dirs[k]
-        nrm = np.linalg.norm(eta)
-        if nrm == 0:
-            continue
-        eta = eta / nrm
+def _ruc_climb(r, D, r_s, D_s, w_s, p, L_star, Lt_star, step) -> float:
+    """Greedy hill climb of the corrected violation along the rows of D and D_s.
+
+    r and r_s are the full and sketched residuals at the start, D and D_s the
+    images of the unit directions under A and A_s. Each round tries +step
+    then -step along one direction, keeps the first improvement, and
+    otherwise shrinks the step by 0.7, stopping once it falls below 1e-12.
+    """
+
+    def score(r, r_s) -> float:
+        Lb = _residual_loss(r, p)
+        if Lb <= 0:
+            return 0.0
+        Ltb = _residual_loss(r_s, p, w_s)
+        return abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
+
+    best = score(r, r_s)
+    for k in range(D.shape[0]):
         improved = False
         for sign in (1.0, -1.0):
-            cand = x + sign * step * eta
-            val = fn(cand)
+            c = sign * step
+            cand, cand_s = r + c * D[k], r_s + c * D_s[k]
+            val = score(cand, cand_s)
             if val > best:
-                best, x = val, cand
+                best, r, r_s = val, cand, cand_s
                 improved = True
                 break
         if not improved:
@@ -188,17 +236,24 @@ def _ascend_scalar(fn, x0, rounds, seed) -> float:
     return float(best)
 
 
+def _residual_loss(r, p, s=None) -> float:
+    R = np.abs(r)
+    if p != 1.0:
+        np.power(R, p, out=R)
+    return float(R.sum() if s is None else s @ R)
+
+
 def embedding_check(
     A, sketch: Sketch, p: float, eps: float, directions: int = 200, seed: int = 0
 ) -> EmbedReport:
     """max over sampled unit beta of | ||SA beta||_p^p / ||A beta||_p^p - 1 |."""
+    if not 1.0 <= p <= 2.0:
+        raise ValueError(f"p must be in [1, 2], got {p}")
+    _check_unit_interval("eps", eps)
     A = as_matrix(A)
-    dirs = rng.normal_matrix(rng.derive(seed, 0xE3), directions, A.shape[1])
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 0] / norms[norms > 0, None]
-    full = _loss_batch(A, np.zeros(A.shape[0]), dirs, p)
-    sk = _loss_batch(A[sketch.indices], np.zeros(sketch.support_size), dirs, p,
-                     s=sketch.weights)
+    dirs = _unit_directions(rng.derive(seed, 0xE3), directions, A.shape[1])
+    full = _loss_batch(A, None, dirs, p)
+    sk = _loss_batch(A[sketch.indices], None, dirs, p, s=sketch.weights)
     good = full > 0
     dev = float(np.max(np.abs(sk[good] / full[good] - 1.0))) if good.any() else 0.0
     return EmbedReport(p=p, directions=int(good.sum()), max_ratio_dev=dev,
