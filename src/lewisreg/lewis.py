@@ -4,12 +4,18 @@ The Lewis weights of A for a given p are the unique positive solution of
 
     a_i^T (A^T W^(1-2/p) A)^(-1) a_i = w_i^(2/p),   W = diag(w),
 
-computed here by fixed-point contraction. Each iteration needs the leverage
-scores of X = W^(1/2-1/p) A. They come from one Cholesky factor of the
-equilibrated Gram matrix D X^T X D, with D = diag(X^T X)^(-1/2), which costs
-two n x d matrix products. When that factor fails or its condition number is
-too large for the iteration's tolerance, the iteration falls back to a
-reduced QR of X for that step. The importance weight of a row,
+computed here by fixed-point contraction, w <- w^(1-p/2) tau(w)^(p/2) with
+tau(w) the leverage scores of X = W^(1/2-1/p) A, each iterate rescaled to
+sum d. The rescaling is exact: tau(c w) = tau(w), so the update maps c w to
+c^(1-p/2) times the update of w, and every rescaled iterate is a positive
+multiple of the plain one. Leverage scores sum to d, so the fixed point does
+too; the plain iteration's scale converges only at rate 1 - p/2, and the
+rescaling removes that slow direction. The leverage scores come from one
+Cholesky factor of the equilibrated Gram matrix D X^T X D, with
+D = diag(X^T X)^(-1/2), which costs two n x d matrix products. When that
+factor fails or its condition number is too large for the iteration's
+tolerance, the iteration falls back to a reduced QR of X for that step.
+The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
 p < 2. It equals 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression
 on d - 1 coefficients once the constraint is eliminated, which the weighted
@@ -46,9 +52,14 @@ class LewisWeights:
 def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisWeights:
     """Fixed-point iteration w_i <- (a_i^T (A^T W^(1-2/p) A)^(-1) a_i)^(p/2).
 
-    Starts from the uniform w_i = d/n and contracts for p in [1, 2]. Zero rows
-    get weight 0 and are excluded from the fixed point. Non-convergence within
-    max_iter is reported through `converged`/`residual`, not raised.
+    Starts from the uniform w_i = d/n and contracts for p in [1, 2]. After
+    each update w is rescaled to sum d, the sum at the fixed point: the
+    update is homogeneous of degree 1 - p/2 in w, so this leaves the shape of
+    every iterate as it was and removes the slow contraction of its scale.
+    The stopping rule and the reported residual are those of the returned w.
+    Zero rows get weight 0 and are excluded from the fixed point.
+    Non-convergence within max_iter is reported through
+    `converged`/`residual`, not raised.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
@@ -88,6 +99,10 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
             converged = True
             break
         w = w ** (1.0 - p / 2.0) * tau ** (p / 2.0)
+        w *= d / np.sum(w)
+    # Freed before the result is allocated, so `full` does not land above
+    # these n x d buffers and pin the heap once they are released.
+    del X, Y, B
     full = np.zeros(n)
     full[nz] = w
     return LewisWeights(

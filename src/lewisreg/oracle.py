@@ -54,19 +54,35 @@ class QueryLedger:
         return len(self.queried)
 
 
-def query(instance: RegressionInstance, ledger: QueryLedger, i: int) -> float:
-    """Return y_i and meter it. Repeat queries of the same index are free."""
-    i = int(i)
-    if not 0 <= i < instance.n:
-        raise IndexError(f"label index {i} out of range for {instance.n} rows")
-    if i not in ledger._seen:
-        if ledger.budget is not None and ledger.count >= ledger.budget:
-            raise BudgetExceededError(
-                f"query budget {ledger.budget} exhausted at index {i}"
-            )
-        ledger._seen.add(i)
-        ledger.queried.append(i)
-    return float(instance._y[i])
+def query(instance: RegressionInstance, ledger: QueryLedger, i) -> float | np.ndarray:
+    """Return the labels at one index or a 1-D array of indices, and meter them.
+
+    Returns a float for one index and an array otherwise. New indices enter
+    the ledger in first-seen order; repeat queries of the same index are
+    free. An index out of range raises IndexError, and the first new index
+    past the budget raises BudgetExceededError, each after metering the new
+    indices before it, as reading them one at a time would.
+    """
+    idx = np.asarray(i)
+    if idx.ndim > 1:
+        raise ValueError(f"label indices must be a scalar or 1-D, got shape {idx.shape}")
+    flat = idx.astype(np.int64, copy=False).reshape(-1)
+    bad = np.flatnonzero((flat < 0) | (flat >= instance.n))
+    head = flat[:bad[0]] if bad.size else flat
+    first = np.sort(np.unique(head, return_index=True)[1])
+    new = head[first]
+    new = new[~np.isin(new, np.fromiter(ledger._seen, np.int64, len(ledger._seen)))]
+    room = new.size if ledger.budget is None else max(ledger.budget - ledger.count, 0)
+    metered = new[:room].tolist()
+    ledger._seen.update(metered)
+    ledger.queried.extend(metered)
+    if new.size > room:
+        raise BudgetExceededError(
+            f"query budget {ledger.budget} exhausted at index {new[room]}"
+        )
+    if bad.size:
+        raise IndexError(f"label index {flat[bad[0]]} out of range for {instance.n} rows")
+    return float(instance._y[flat[0]]) if idx.ndim == 0 else instance._y[flat]
 
 
 @dataclass(frozen=True)
@@ -92,7 +108,7 @@ def active_solve(
         raise ValueError("plan size does not match instance")
     sketch = realize(plan, seed)
     ledger = QueryLedger(budget=budget)
-    y_s = np.array([query(instance, ledger, i) for i in sketch.indices])
+    y_s = query(instance, ledger, sketch.indices)
     # query-ledger exactness: the labels read are exactly the sketch support
     if ledger.count != sketch.support_size or not np.array_equal(
         np.sort(np.asarray(ledger.queried)), sketch.indices

@@ -118,8 +118,41 @@ def test_gram_path_matches_svd_reference(monkeypatch):
         w = np.full(A.shape[0], A.shape[1] / A.shape[0])
         for _ in range(lw.iterations - 1):
             w = w ** (1.0 - p / 2.0) * _svd_leverage(A, w, p) ** (p / 2.0)
+            w *= A.shape[1] / np.sum(w)
         np.testing.assert_allclose(lw.w, w, rtol=1e-12)
         assert _svd_residual(A, lw.w, p) <= 1e-8
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_rescaled_iterate_is_plain_iterate_rescaled(p):
+    # Leverage scores of W^(1/2-1/p) A do not change when w becomes c*w, so
+    # rescaling each iterate leaves the shape of the sequence unchanged.
+    A = np.random.default_rng(31).standard_normal((400, 5)) * np.logspace(0, 2, 5)
+    w = np.full(A.shape[0], A.shape[1] / A.shape[0])
+    for k in range(1, 7):
+        w = w ** (1.0 - p / 2.0) * _svd_leverage(A, w, p) ** (p / 2.0)
+        lw = lewis_weights(A, p, tol=1e-15, max_iter=k)
+        assert lw.iterations == k
+        np.testing.assert_allclose(lw.w, w * (A.shape[1] / np.sum(w)), rtol=1e-12)
+
+
+def test_gaussian_converges_in_few_iterations():
+    # The plain recurrence takes 24 iterations here: its scale contracts at
+    # rate 1 - p/2, and rescaling to sum d removes that direction.
+    A = np.random.default_rng(32).standard_normal((20_000, 10))
+    lw = lewis_weights(A, 1.0)
+    assert lw.converged and lw.iterations <= 10
+    assert abs(lw.total - 10.0) <= 1e-12
+    assert _svd_residual(A, lw.w, 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_cauchy_coherent_design_converges(p):
+    r = np.random.default_rng(33)
+    A = np.abs(r.standard_cauchy(20_000))[:, None] * r.standard_normal((20_000, 10))
+    lw = lewis_weights(A, p)
+    assert lw.converged
+    assert _svd_residual(A, lw.w, p) <= 1e-7
 
 
 def test_extreme_matrix_scale_stays_on_gram_path(monkeypatch):

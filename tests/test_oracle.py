@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,58 @@ def test_full_sweep_reconstructs_labels():
     got = np.array([query(inst, ledger, i) for i in range(inst.n)])
     assert ledger.count == inst.n
     np.testing.assert_array_equal(got, inst.reveal_hidden_labels())
+
+
+def loop_query(instance, ledger, indices):
+    """Reference: the labels read one metered index at a time."""
+    out = []
+    for i in indices:
+        i = int(i)
+        if not 0 <= i < instance.n:
+            raise IndexError(f"label index {i} out of range for {instance.n} rows")
+        if i not in ledger._seen:
+            if ledger.budget is not None and ledger.count >= ledger.budget:
+                raise BudgetExceededError(
+                    f"query budget {ledger.budget} exhausted at index {i}"
+                )
+            ledger._seen.add(i)
+            ledger.queried.append(i)
+        out.append(float(instance._y[i]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("indices, budget, seen", [
+    ([5, 2, 5, 9, 2, 0], None, []),            # first-seen order, repeats free
+    ([5, 2, 5, 9, 2, 0], None, [9, 1]),        # indices metered before are free
+    ([3, 1, 3, 12, 4], None, []),              # past the last row
+    ([3, -1, 4], None, [7]),                   # negative
+    ([7, 7, 1, 4, 8, 2], 3, []),               # budget runs out at 8
+    ([7, 6, 1, 4, 8, 6], 4, [6, 1]),           # budget with earlier reads
+    ([1, 2, 3, 99], 2, []),                    # budget runs out before the bad index
+    ([], 0, [4]),
+])
+def test_batch_query_matches_per_index_loop(indices, budget, seen):
+    inst = make_instance()
+    got_ledger, want_ledger = QueryLedger(budget=budget), QueryLedger(budget=budget)
+    for ledger in (got_ledger, want_ledger):
+        ledger.queried.extend(seen)
+        ledger._seen.update(seen)
+    try:
+        want = loop_query(inst, want_ledger, indices)
+    except (IndexError, BudgetExceededError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            query(inst, got_ledger, np.array(indices, dtype=np.intp))
+    else:
+        got = query(inst, got_ledger, np.array(indices, dtype=np.intp))
+        np.testing.assert_array_equal(got, want)
+    assert got_ledger.queried == want_ledger.queried
+    assert all(type(i) is int for i in got_ledger.queried)
+    assert got_ledger._seen == want_ledger._seen
+
+
+def test_query_rejects_2d_indices():
+    with pytest.raises(ValueError, match="1-D"):
+        query(make_instance(), QueryLedger(), np.zeros((2, 2), dtype=np.intp))
 
 
 def test_invalid_index():
@@ -99,7 +153,7 @@ def test_active_solve_raises_on_ledger_mismatch(monkeypatch):
     from lewisreg import oracle
 
     # A label read that bypasses the meter must not go unnoticed, even under -O.
-    monkeypatch.setattr(oracle, "query", lambda instance, ledger, i: float(instance._y[i]))
+    monkeypatch.setattr(oracle, "query", lambda instance, ledger, i: instance._y[i])
     inst = make_instance(n=30, d=2, seed=5)
     plan = plan_l1(np.full(30, 1.0), gamma=1.0, u_override=0.5)
     with pytest.raises(RuntimeError, match="ledger"):
