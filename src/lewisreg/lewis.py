@@ -15,6 +15,10 @@ Cholesky factor of the equilibrated Gram matrix D X^T X D, with
 D = diag(X^T X)^(-1/2), which costs two n x d matrix products. When that
 factor fails or its condition number is too large for the iteration's
 tolerance, the iteration falls back to a reduced QR of X for that step.
+The iteration decides rank there and only there: an iterate that has lost
+rank fails the condition bound, and the QR applies the package's one rank
+rule, `matrix_rank_cutoff`, to its d x d factor R, which has X's singular
+values. The importance weights apply the same rule to A once per call.
 The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
 p < 2. It equals 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression
@@ -68,10 +72,8 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     # Not a norm test: squared entries below ~1e-154 underflow to zero.
     nz = np.any(A != 0.0, axis=1)
     B = A[nz]
-    if B.shape[0] < d or matrix_rank_cutoff(B) < d:
-        raise DegenerateMatrixError(
-            f"rank-deficient matrix: need rank {d} on nonzero rows"
-        )
+    if B.shape[0] < d:
+        raise DegenerateMatrixError(f"{B.shape[0]} nonzero rows cannot have rank {d}")
     # Work buffers for every iteration's scaled matrix X and its product Y.
     # Fresh n x d arrays each iteration cost page faults whenever the
     # allocator hands their memory back to the system between iterations.
@@ -145,9 +147,9 @@ def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float,
 
 def _qr_leverage(X: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(X, mode="reduced")
-    rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= 1e-14 * max(rdiag.max(), 1e-300):
-        raise DegenerateMatrixError("matrix lost rank during Lewis iteration")
+    # A non-finite R passes on to the caller's non-finite check.
+    if np.all(np.isfinite(R)) and matrix_rank_cutoff(R) < X.shape[1]:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {X.shape[1]}")
     return np.einsum("ij,ij->i", Q, Q)
 
 
@@ -168,13 +170,8 @@ class ImportanceWeights:
     u: np.ndarray
 
 
-def importance_weight_oracle(
-    A, p: float, row: int, starts: int = 16, seed: int = 0
-) -> float:
-    """Exact sup_beta |a_row^T beta|^p / ||A beta||_p^p (0 for a zero row).
-
-    `starts` and `seed` are accepted for compatibility and ignored.
-    """
+def importance_weight_oracle(A, p: float, row: int) -> float:
+    """Exact sup_beta |a_row^T beta|^p / ||A beta||_p^p (0 for a zero row)."""
     A = as_matrix(A)
     if not 0 <= row < A.shape[0]:
         raise IndexError(f"row {row} out of range for {A.shape[0]} rows")
@@ -194,9 +191,11 @@ def _importance_all(A, p, rows) -> np.ndarray:
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
     u = np.zeros(A.shape[0])
+    rows = [i for i in rows if np.any(A[i])]
+    if rows and matrix_rank_cutoff(A) < A.shape[1]:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
     for i in rows:
-        if np.any(A[i]):
-            u[i] = _sup_ratio(A, A[i], p)
+        u[i] = _sup_ratio(A, A[i], p)
     return u
 
 
@@ -206,12 +205,11 @@ def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:
     The feasible b are b0 + N c, with b0 = v / ||v||^2 and N an orthonormal
     basis of v's orthogonal complement, so the minimum is the unconstrained
     Lp regression of -A b0 on A N. At d = 1 the feasible set is b0 alone.
-    A must have full column rank, which makes A N full rank too. The
-    regression must be certified to its duality-gap tolerance, or this
-    raises RuntimeError, so the value is the supremum, not a lower bound.
+    A must have full column rank, which makes A N full rank too; callers
+    check that once per A. The regression must be certified to its
+    duality-gap tolerance, or this raises RuntimeError, so the value is the
+    supremum, not a lower bound.
     """
-    if matrix_rank_cutoff(A) < A.shape[1]:
-        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
     Vt = np.linalg.svd(v[None, :])[2]       # Vt[0] = +-v / ||v||, Vt[1:] = N^T
     b = Vt[0] / (Vt[0] @ v)
     if A.shape[1] > 1:

@@ -8,7 +8,10 @@ import numpy as np
 
 from .errors import DegenerateMatrixError
 
-# Singular values at or below RANK_CUTOFF * sigma_max count as zero.
+# Singular values at or below RANK_CUTOFF * sigma_max count as zero. The
+# package's one rank rule, `matrix_rank_cutoff(M) < d`: the Lewis iteration
+# and the solvers apply it to the d x d triangular factor of the QR they
+# already take, the importance weights and the cross-term check once to A.
 RANK_CUTOFF = 1e-10
 
 

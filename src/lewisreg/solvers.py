@@ -97,19 +97,16 @@ def _solve(A, y, s, p, tol, trace) -> SolveResult:
 
     active = s > 0
     As, ys, ss = A[active], y[active], s[active]
-    if As.shape[0] < d or matrix_rank_cutoff(As) < d:
-        beta = _pinv_lstsq(As, ys, ss)
-        return SolveResult(
-            beta=beta,
-            objective=weighted_lp_loss(A, y, beta, s, p),
-            iterations=0,
-            status=DEGENERATE,
-            gap=np.inf,
-        )
-
     beta = _weighted_lstsq(As, ys, ss)
+    # R has the singular values of As (and fewer than d rows when As does),
+    # so this one QR decides the rank. At p = 1 it is the walk's too.
+    Q, R = np.linalg.qr(As) if p == 1.0 else (None, np.linalg.qr(As, mode="r"))
+    if matrix_rank_cutoff(R) < d:
+        return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
+                           iterations=0, status=DEGENERATE, gap=np.inf)
     if p == 1.0:
-        beta, iterations, zhat = _l1_walk(As, ys, ss, beta, trace)
+        beta, iterations, zhat = _l1_walk(As, Q, R, ys, ss, beta, trace)
+        del Q   # freed before the gap's n x d products
         gap = _duality_gap(As, ys, ss, p, beta, zhat)[0]
     else:
         beta, iterations, gap = _lp_newton(As, ys, ss, p, beta, tol, trace)
@@ -122,13 +119,6 @@ def _weighted_lstsq(A, y, w) -> np.ndarray:
     sw = np.sqrt(w)
     beta, *_ = np.linalg.lstsq(sw[:, None] * A, sw * y, rcond=None)
     return beta
-
-
-def _pinv_lstsq(A, y, s) -> np.ndarray:
-    if A.size == 0:
-        return np.zeros(A.shape[1])
-    sw = np.sqrt(s)
-    return np.linalg.pinv(sw[:, None] * A) @ (sw * y)
 
 
 def _duality_gap(A, y, s, p, beta, zhat):
@@ -166,7 +156,7 @@ def _duality_gap(A, y, s, p, beta, zhat):
     return (objective - bound) / objective, c
 
 
-def _l1_walk(A, y, s, beta, trace):
+def _l1_walk(A, Q, R, y, s, beta, trace):
     """Barrodale-Roberts walk from beta to an optimal vertex of sum_i s_i |A beta - y|_i.
 
     Nonbasic rows carry sigma_i = sign(r_i); a zero residual keeps the side it
@@ -174,12 +164,11 @@ def _l1_walk(A, y, s, beta, trace):
     = -sum_{i not in B} s_i sigma_i a_i, and releasing row k along a_k^T eta =
     tau changes the loss at rate s_k (1 - tau lam_k). Pivots release the largest
     |lam_k| > 1, or after a zero-length step use Bland's rule over LP indices
-    (u_i -> i, v_i -> n + i). Runs on Q of A = QR, whose bases are only as
-    ill-conditioned as their rows. Returns A_B^-1 y_B, the line searches, and
-    z / s (sigma off B, lam on it), or None for an exact fit.
+    (u_i -> i, v_i -> n + i). Runs on Q of the given A = QR, whose bases are
+    only as ill-conditioned as their rows. Returns A_B^-1 y_B, the line
+    searches, and z / s (sigma off B, lam on it), or None for an exact fit.
     """
     n, d = A.shape
-    Q, R = np.linalg.qr(A)
     row_norms = np.abs(Q).sum(axis=1)
     sigma, basis = np.ones(n), []
 

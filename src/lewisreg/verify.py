@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .errors import DegenerateMatrixError
 from .lewis import _sup_ratio
-from .linalg import as_matrix, as_vector, lp_norm
+from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff
 from .oracle import RegressionInstance
 from .sampling import Sketch
 
@@ -294,6 +295,8 @@ def cross_term_check(
     y_norm = lp_norm(y, p)
     if y_norm == 0 or not np.any(v):
         max_ratio = 0.0
+    elif matrix_rank_cutoff(A) < A.shape[1]:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
     else:
         max_ratio = _sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)
     reference = None

@@ -211,6 +211,34 @@ def test_rank_deficient_raises():
         lewis_weights(np.eye(3), 2.5)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("gap", [1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 0.0])
+def test_collinear_columns_raise_at_first_qr(monkeypatch, p, gap):
+    # The Gram guard sends the first iterate to the QR, and its R fails the
+    # rank rule. The old 1e-14 test on R's diagonal let 1e-10 to 1e-13
+    # through, to 500 QR iterations and converged=False.
+    calls = []
+    qr = lewis_module._qr_leverage
+    monkeypatch.setattr(lewis_module, "_qr_leverage", lambda X: calls.append(1) or qr(X))
+    A = np.random.default_rng(0).standard_normal((2000, 5))
+    A[:, 1] = A[:, 0] + gap * A[:, 1]
+    with pytest.raises(DegenerateMatrixError, match="rank"):
+        lewis_weights(A, p)
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_tiny_column_scale_keeps_weights(p):
+    # Lewis weights do not depend on column scale, and a column 1e-12 times
+    # the others is not a rank loss.
+    A = np.random.default_rng(34).standard_normal((2000, 5))
+    base = lewis_weights(A, p)
+    A[:, 2] *= 1e-12
+    lw = lewis_weights(A, p)
+    assert lw.converged and lw.iterations <= 10
+    np.testing.assert_allclose(lw.w, base.w, rtol=1e-12)
+
+
 def test_importance_identity_row():
     assert importance_weight_oracle(np.eye(3), 1.0, 0) == pytest.approx(1.0, abs=1e-9)
 
@@ -242,7 +270,7 @@ def test_importance_hypercube_matches_angle_grid():
     grid_sup = (scores / scores.sum(axis=0)).max(axis=1)
     np.testing.assert_allclose(grid_sup, 0.5, atol=1e-9)
     for row in range(4):
-        got = importance_weight_oracle(A, 1.0, row, starts=8, seed=0)
+        got = importance_weight_oracle(A, 1.0, row)
         assert got == pytest.approx(0.5, abs=1e-6)
 
 

@@ -227,6 +227,18 @@ def test_degenerate_rank_deficient_support():
     assert res.status == "degenerate"
 
 
+def test_heavily_weighted_rows_are_not_degenerate():
+    # Rank comes from the unweighted rows: weighted, this matrix has a
+    # singular value ratio near 1e-14, yet the problem is well posed.
+    r = np.random.default_rng(0)
+    A = r.standard_normal((50, 3))
+    y = A @ r.standard_normal(3) + r.standard_normal(50)
+    s = np.ones(50)
+    s[:2] = 1e30
+    assert solve_weighted_l1(A, y, s).status == "converged"
+    assert solve_weighted_lp(A, y, 1.5, s).status == "converged"
+
+
 def test_approx_transfer_bound():
     assert approx_transfer_bound(0.25) == pytest.approx(4.0 / 3.0)
     assert approx_transfer_bound(0.5) == pytest.approx(2.0)
