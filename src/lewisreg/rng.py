@@ -125,15 +125,17 @@ def _poisson_inversion_array(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     k = np.zeros(lam.shape, dtype=np.int64)
     prob = np.exp(-lam)
     cdf = prob.copy()
-    active = u >= cdf
+    # Rows still below their uniform; most stop at k = 0, and each pass
+    # touches only the rows left.
+    active = np.flatnonzero(u >= cdf)
     # Terminates well before the cap: k stays within ~lam + O(sqrt(lam)).
     for _ in range(2000):
-        if not active.any():
+        if active.size == 0:
             break
         k[active] += 1
         prob[active] *= lam[active] / k[active]
         cdf[active] += prob[active]
-        active &= u >= cdf
+        active = active[u[active] >= cdf[active]]
     return k
 
 
@@ -164,9 +166,12 @@ def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
 
     Rates below POISSON_INVERSION_CUTOFF use single-uniform inversion
     (vectorized); larger rates fall back to the scalar rejection sampler.
-    Either way the draw depends only on (seed, i, rates[i]).
+    Either way the draw depends only on (seed, i, rates[i]). A negative or
+    non-finite rate raises ValueError.
     """
     rates = np.asarray(rates, dtype=np.float64)
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("Poisson rates must be finite")
     if np.any(rates < 0):
         raise ValueError("negative Poisson rate")
     k = np.zeros(rates.shape, dtype=np.int64)

@@ -2,10 +2,13 @@
 
 L1 is a linear program, solved exactly by a Barrodale-Roberts simplex walk
 from the weighted least-squares point. For p in (1, 2], damped Newton from
-the same point, each step an exact line search; p = 2 needs no step. Each
-solve is certified by weak duality: `SolveResult.gap` is the relative gap
-between the objective and a dual lower bound, and the status is `converged`
-exactly when the gap is at most `tol`. The Lp loop stops on that gap.
+the same point; p = 2 needs no step. A Newton step is taken whole when the
+loss still falls at its end, and otherwise cut by an Illinois regula falsi
+on the loss's slope, at most 60 evaluations, to a length whose slope is
+<= 0, so no step raises the loss. Each solve is certified by weak duality:
+`SolveResult.gap` is the relative gap between the objective and a dual lower
+bound, and the status is `converged` exactly when the gap is at most `tol`.
+The Lp loop stops on that gap.
 """
 
 from __future__ import annotations
@@ -252,11 +255,13 @@ def _lp_newton(A, y, s, p, beta, tol, trace):
     if trace is not None:
         trace.append(obj)
     for steps in range(_NEWTON_CAP + 1):
-        gap, c = _duality_gap(A, y, s, p, beta, p * np.abs(r) ** (p - 1.0) * np.sign(r))
+        g = np.abs(r) ** (p - 1.0) * np.sign(r)
+        gap, c = _duality_gap(A, y, s, p, beta, p * g)
         if gap <= tol or steps == _NEWTON_CAP:
             break
         step = c / (-p * (p - 1.0))
-        t = _line_search(r, A @ step, s, p)
+        dr = A @ step
+        t = _line_search(r, dr, s, p, float(np.sum(s * g * dr)))
         cand = beta + t * step
         r_cand = A @ cand - y
         cand_obj = float(np.sum(s * np.abs(r_cand) ** p))
@@ -268,23 +273,48 @@ def _lp_newton(A, y, s, p, beta, tol, trace):
     return beta, steps, gap
 
 
-def _line_search(r, dr, s, p) -> float:
+def _line_search(r, dr, s, p, slope0) -> float:
     """Minimizer over [0, 1] of the convex t -> sum_i s_i |r_i + t dr_i|^p.
 
-    60 bisections of the slope; the returned t has slope <= 0, so it does
-    not raise the loss above t = 0.
+    The slope over p, g(t) = sum_i s_i |x_i|^(p-1) sign(x_i) dr_i at
+    x = r + t dr, is nondecreasing; the caller passes g(0). If g(1) <= 0 the
+    full step is taken, and if g(0) >= 0 no step. Otherwise Illinois regula
+    falsi (Dowell & Jarratt, BIT 1971) shrinks a bracket with g(lo) <= 0 <
+    g(hi): each point is the secant root, or the midpoint when rounding puts
+    that outside (lo, hi), and when the same end moves twice running the
+    other end's g is halved. It stops at g = 0, when hi - lo <= eps hi (the
+    bracket is within about two ulps, as fine as bisection to rounding
+    gets), or after 60 evaluations past g(1), as many as that bisection
+    took. It returns lo, whose slope is <= 0, so the loss at t is at most
+    the loss at 0.
     """
     def slope(t):
         x = r + t * dr
         return float(np.sum(s * np.abs(x) ** (p - 1.0) * np.sign(x) * dr))
 
-    if slope(1.0) <= 0.0:
+    lo, hi, g_lo, g_hi = 0.0, 1.0, slope0, slope(1.0)
+    if g_hi <= 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0
+    if g_lo >= 0.0:
+        return 0.0
+    moved = 0       # +1 after lo moved, -1 after hi moved
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) <= 0.0:
-            lo = mid
+        if hi - lo <= _EPS * hi:
+            break
+        t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        g = slope(t)
+        if g <= 0.0:
+            lo, g_lo = t, g
+            if g == 0.0:
+                break
+            if moved > 0:
+                g_hi *= 0.5
+            moved = 1
         else:
-            hi = mid
+            hi, g_hi = t, g
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
     return lo

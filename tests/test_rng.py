@@ -85,6 +85,40 @@ def test_poisson_zero_rate_and_validation():
         rng.poisson_array(0, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_poisson_rejects_non_finite_rates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        rng.poisson_array(0, np.array([1.0, bad, 40.0]))
+
+
+def _poisson_inversion_full_mask(lam, u):
+    """Reference: every pass runs over all rows through a boolean mask."""
+    k = np.zeros(lam.shape, dtype=np.int64)
+    prob = np.exp(-lam)
+    cdf = prob.copy()
+    active = u >= cdf
+    for _ in range(2000):
+        if not active.any():
+            break
+        k[active] += 1
+        prob[active] *= lam[active] / k[active]
+        cdf[active] += prob[active]
+        active &= u >= cdf
+    return k
+
+
+def test_poisson_inversion_matches_full_mask_loop():
+    r = np.random.default_rng(17)
+    lam = np.concatenate([np.zeros(50), 30.0 * r.random(20000), 1e-3 * r.random(5000)])
+    u = rng.uniform_array(3, np.arange(lam.size, dtype=np.uint64),
+                          np.zeros(lam.size, dtype=np.uint64))
+    u[:200] = 1.0 - 2.0**-53        # deep tails
+    u[200:400] = 0.0
+    k = rng._poisson_inversion_array(lam, u)
+    np.testing.assert_array_equal(k, _poisson_inversion_full_mask(lam, u))
+    assert k.max() > 40 and np.mean(k == 0) > 0.1
+
+
 def test_poisson_deterministic_per_row():
     rates = np.linspace(0.1, 40.0, 200)
     a = rng.poisson_array(99, rates)

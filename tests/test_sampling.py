@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from lewisreg import (
     support_size_bound,
     weighted_lp_loss,
 )
+from lewisreg.rng import POISSON_INVERSION_CUTOFF
+from lewisreg.sampling import POISSON_LP
 
 
 def test_plan_l1_uniform_below_threshold():
@@ -170,6 +173,34 @@ def test_realize_bit_exact_replay():
         assert not (
             a.indices.size == c.indices.size and np.array_equal(a.indices, c.indices)
         )
+
+
+# sha256 over the indices and weights that `realize` draws at seeds
+# 0, 1, 2021 and 2**63 + 5. Realized rows are part of the replay contract:
+# a change here is a versioned break that bumps SCHEMA_VERSION.
+GOLDEN_REALIZE = {
+    "bernoulli": "c97686a5a18d53c1fd98f2300af96be17a36bf5c3668cf3526f536adba46f62a",
+    "poisson": "c23f3d1a56fa89c194a636990d29ecf445dfa8f5d50e905f1ce5ce9309d9d328",
+    "uniform": "376eaea9fbd7ca9b9adfacba4fb428079c4c626e09072580122b31536e0a946a",
+}
+
+
+def test_realize_golden_hashes():
+    rates = np.append(60.0 * np.linspace(0.0, 1.0, 600) ** 3, POISSON_INVERSION_CUTOFF)
+    assert np.any(rates == 0) and np.any((rates > 0) & (rates < POISSON_INVERSION_CUTOFF))
+    assert np.sum(rates >= POISSON_INVERSION_CUTOFF) > 100
+    plans = {
+        "bernoulli": plan_l1((np.arange(600) % 23 + 1) / 230.0, u_override=0.4),
+        "poisson": SamplePlan(scheme=POISSON_LP, n=rates.size, params=rates),
+        "uniform": plan_uniform(1000, 37),
+    }
+    for name, plan in plans.items():
+        h = hashlib.sha256()
+        for seed in (0, 1, 2021, 2**63 + 5):
+            sk = realize(plan, seed)
+            h.update(np.ascontiguousarray(sk.indices, dtype="<i8").tobytes())
+            h.update(np.ascontiguousarray(sk.weights, dtype="<f8").tobytes())
+        assert h.hexdigest() == GOLDEN_REALIZE[name], name
 
 
 def test_sketch_indices_sorted_unique_positive_weights():

@@ -13,6 +13,7 @@ from lewisreg import (
     weighted_lp_loss,
     weighted_median,
 )
+from lewisreg.solvers import _line_search
 
 
 def subgradient_l1_oracle(A, y, s=None, epochs=30, iters_per_epoch=2500):
@@ -174,7 +175,7 @@ def test_lp_gradient_matches_finite_differences():
         assert num == pytest.approx(grad[j], rel=1e-5, abs=1e-8)
 
 
-def test_kkt_residual_small_at_convergence():
+def test_gap_small_at_convergence():
     r = np.random.default_rng(9)
     A = r.standard_normal((40, 5))
     y = r.standard_normal(40)
@@ -195,7 +196,7 @@ def test_translation_equivariance():
         np.testing.assert_allclose(shifted.beta, base.beta + c, atol=1e-8)
 
 
-def test_irls_objective_monotone():
+def test_objective_trace_monotone():
     r = np.random.default_rng(11)
     A = r.standard_normal((50, 4))
     y = r.standard_normal(50) * 2
@@ -381,3 +382,70 @@ def test_lp_fuzz_matches_minimize(p):
         assert res.status == "converged", (label, res.gap)
         assert res.objective <= best * (1 + 1e-10) + rounding, (label, res.objective, best)
         assert res.objective * (1 - res.gap) <= best + rounding, (label, res.gap, best)
+
+
+def _lp_slope(r, dr, s, p, t):
+    x = r + t * dr
+    return float(np.sum(s * np.abs(x) ** (p - 1.0) * np.sign(x) * dr))
+
+
+def _bisect_line_search(r, dr, s, p, halvings=200):
+    """Reference line search: bisection of the slope to far below rounding."""
+    if _lp_slope(r, dr, s, p, 1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if _lp_slope(r, dr, s, p, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _line_search_cases():
+    """(label, r, dr, s, p): descent directions whose residuals cross zero,
+    with zero entries of dr and r, at step scales from well inside [0, 1] to
+    beyond the full step."""
+    for p in (1.05, 1.25, 1.5, 1.9):
+        for k in range(30):
+            r = np.random.default_rng(1000 + k)
+            n = int(r.integers(5, 400))
+            res = r.standard_normal(n) * 10.0 ** r.uniform(-3, 3)
+            dr = r.standard_normal(n) * 10.0 ** r.uniform(-3, 3)
+            dr[r.random(n) < 0.2] = 0.0
+            res[r.random(n) < 0.05] = 0.0
+            s = r.uniform(0.1, 5.0, n)
+            if _lp_slope(res, dr, s, p, 0.0) > 0.0:
+                dr = -dr
+            yield f"p{p}-{k}", res, dr, s, p
+
+
+def test_line_search_matches_bisection_reference():
+    searched = 0
+    for label, r, dr, s, p in _line_search_cases():
+        t = _line_search(r, dr, s, p, _lp_slope(r, dr, s, p, 0.0))
+        t_ref = _bisect_line_search(r, dr, s, p)
+        searched += t_ref < 1.0
+        assert 0.0 <= t <= 1.0, label
+        assert _lp_slope(r, dr, s, p, t) <= 0.0, (label, t)
+        loss, loss_ref = (float(np.sum(s * np.abs(r + x * dr) ** p)) for x in (t, t_ref))
+        assert loss <= loss_ref * (1 + 1e-14), (label, t, t_ref, loss, loss_ref)
+    assert searched >= 60      # most cases need a search, not the full step
+
+
+def test_line_search_edge_cases():
+    r = np.array([1.0, -2.0, 0.5, 0.0])
+    s = np.array([1.0, 2.0, 0.5, 1.0])
+    for p in (1.05, 1.5, 1.9):
+        # Halving every residual lowers the loss all the way: no search.
+        assert _line_search(r, -0.5 * r, s, p, _lp_slope(r, -0.5 * r, s, p, 0.0)) == 1.0
+        # An uphill start (slope(0) > 0) and a flat one (slope(0) = 0) return 0.
+        for dr in (r, np.array([0.0, 0.0, 0.0, 1.0])):
+            assert _lp_slope(r, dr, s, p, 1.0) > 0.0
+            assert _line_search(r, dr, s, p, _lp_slope(r, dr, s, p, 0.0)) == 0.0
+    # Slopes of -inf and +inf at the ends give no secant point; the midpoint
+    # is the root.
+    r, dr, s = np.array([-1e200]), np.array([2e200]), np.ones(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _line_search(r, dr, s, 1.9, _lp_slope(r, dr, s, 1.9, 0.0)) == 0.5
