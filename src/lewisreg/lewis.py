@@ -4,20 +4,25 @@ The Lewis weights of A for a given p are the unique positive solution of
 
     a_i^T (A^T W^(1-2/p) A)^(-1) a_i = w_i^(2/p),   W = diag(w),
 
-computed here by fixed-point contraction, w <- w^(1-p/2) tau(w)^(p/2) with
-tau(w) the leverage scores of X = W^(1/2-1/p) A, each iterate rescaled to
-sum d. The rescaling is exact: tau(c w) = tau(w), so the update maps c w to
-c^(1-p/2) times the update of w, and every rescaled iterate is a positive
-multiple of the plain one. Leverage scores sum to d, so the fixed point does
-too; the plain iteration's scale converges only at rate 1 - p/2, and the
-rescaling removes that slow direction. The leverage scores come from one
-Cholesky factor of the equilibrated Gram matrix D X^T X D, with
-D = diag(X^T X)^(-1/2), which costs two n x d matrix products. When that
-factor fails or its condition number is too large for the iteration's
-tolerance, the iteration falls back to a reduced QR of X for that step.
-The iteration decides rank there and only there: an iterate that has lost
-rank fails the condition bound, and the QR applies the package's one rank
-rule, `matrix_rank_cutoff`, to its d x d factor R, which has X's singular
+computed here as the fixed point of w <- w^(1-p/2) tau(w)^(p/2), with
+tau(w) the leverage scores of X = W^(1/2-1/p) A. The iterate is x = log w.
+Type-II Anderson mixing of depth 2 (Walker & Ni, SIAM J. Numer. Anal. 2011)
+combines the last two differences of the iterates and of their plain steps,
+and drops them whenever the fixed-point residual does not fall, so the next
+step is the plain one. Each iterate is rescaled to sum d. That is exact:
+tau(c w) = tau(w), and leverage scores sum to d, so the fixed point does too.
+The plain iteration contracts the scale only at rate 1 - p/2, and the mixing
+removes the slow modes of the shape, such as those of a dominant row.
+Each leverage evaluation is one kernel on two d x m buffers: B, the nonzero
+rows of A as columns, and one work buffer X = B diag(v), v = w^(1/2-1/p).
+Any M with M^T X X^T M = I gives tau = v^2 * colsum((M^T B)^2), so every
+score comes from its own row and keeps its relative accuracy however small it
+is. M = D L^(-T) from one Cholesky factor L of the equilibrated Gram matrix
+D X X^T D, D = diag(X X^T)^(-1/2), while its condition number suits the
+tolerance; otherwise M = R^(-1) from the triangular factor R of a QR of X^T,
+whose Q is never formed. The iteration decides rank there and only there:
+an iterate that has lost rank fails the condition bound, and the package's
+one rank rule, `matrix_rank_cutoff`, runs on R, which has X's singular
 values. The importance weights apply the same rule to A once per call.
 The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
@@ -54,15 +59,18 @@ class LewisWeights:
 
 
 def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisWeights:
-    """Fixed-point iteration w_i <- (a_i^T (A^T W^(1-2/p) A)^(-1) a_i)^(p/2).
+    """Fixed point of w_i = (a_i^T (A^T W^(1-2/p) A)^(-1) a_i)^(p/2), by Anderson mixing.
 
-    Starts from the uniform w_i = d/n and contracts for p in [1, 2]. After
-    each update w is rescaled to sum d, the sum at the fixed point: the
-    update is homogeneous of degree 1 - p/2 in w, so this leaves the shape of
-    every iterate as it was and removes the slow contraction of its scale.
-    The stopping rule and the reported residual are those of the returned w.
-    Zero rows get weight 0 and are excluded from the fixed point.
-    Non-convergence within max_iter is reported through
+    Starts from the uniform w_i = d/n. The iterate is x = log w, the plain
+    step is f = (p/2) log(tau / w), and type-II Anderson mixing of depth 2
+    takes x <- x + f - (dX + dF) gamma, where dX and dF hold the last two
+    differences of the iterates and of their steps and gamma minimizes
+    ||f - dF gamma||_2. The history is dropped whenever the residual does not
+    fall, so the next step is the plain one. Each iterate is then rescaled to
+    sum d, the sum at the fixed point. The returned w is the last iterate
+    evaluated, and the stopping rule, `residual`, `gamma` and `converged` are
+    those of that w. Zero rows get weight 0 and are excluded from the fixed
+    point. Non-convergence within max_iter is reported through
     `converged`/`residual`, not raised.
     """
     if not 1.0 <= p <= 2.0:
@@ -71,66 +79,87 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     n, d = A.shape
     # Not a norm test: squared entries below ~1e-154 underflow to zero.
     nz = np.any(A != 0.0, axis=1)
-    B = A[nz]
-    if B.shape[0] < d:
-        raise DegenerateMatrixError(f"{B.shape[0]} nonzero rows cannot have rank {d}")
-    # Work buffers for every iteration's scaled matrix X and its product Y.
-    # Fresh n x d arrays each iteration cost page faults whenever the
-    # allocator hands their memory back to the system between iterations.
-    X, Y = np.empty_like(B), np.empty_like(B)
+    # The nonzero rows as the columns of one contiguous d x m copy, B. Every
+    # pass of the kernel then runs along rows of length m.
+    B = A.T.copy() if nz.all() else A.T.compress(nz, axis=1)
+    m = B.shape[1]
+    if m < d:
+        raise DegenerateMatrixError(f"{m} nonzero rows cannot have rank {d}")
+    # The kernel's one work buffer. Fresh d x m arrays each iteration cost
+    # page faults whenever the allocator hands their memory back to the system.
+    X = np.empty_like(B)
     # Leverage scores do not change under column scaling, and a power of two
-    # is exact. Columns of max-abs in [0.5, 1) keep X^T X clear of underflow
+    # is exact. Columns of max-abs in [0.5, 1) keep X X^T clear of underflow
     # and overflow, so a matrix scaled by 1e+-170 stays on the Gram path.
-    # B is a copy (boolean indexing), so it is scaled in place.
-    np.ldexp(B, -np.frexp(np.abs(B, out=X).max(axis=0))[1], out=B)
-    m = B.shape[0]
-    w = np.full(m, d / m)
-    residual = np.inf
-    iterations = 0
-    converged = False
+    np.ldexp(B, -np.frexp(np.abs(B, out=X).max(axis=1))[1][:, None], out=B)
+    x = np.full(m, math.log(d / m))
+    # The mixing history: the last `held` differences of f and of g = x + f,
+    # oldest first, and f and g of the previous iterate.
+    dF, dG, prev = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
+    held, last = 0, math.inf
+    residual, iterations = math.inf, 0
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
         # ratio a_i^T (...)^(-1) a_i / w_i^(2/p) equals tau_i / w_i.
-        tau = _scaled_leverage(B, w, p, tol, X, Y)
-        residual = float(np.max(np.abs(tau / w - 1.0)))
+        f = _scaled_leverage(B, x, p, tol, X)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.log(f, out=f)
+            f -= x
+            residual = float(np.max(np.abs(np.expm1([f.min(), f.max()]))))
         if not math.isfinite(residual):
             raise DegenerateMatrixError(
                 f"Lewis iteration {iterations} produced non-finite leverage scores"
             )
-        if residual <= tol:
-            converged = True
+        if residual <= tol or iterations == max_iter:
             break
-        w = w ** (1.0 - p / 2.0) * tau ** (p / 2.0)
-        w *= d / np.sum(w)
+        f *= p / 2.0
+        x += f                                  # the plain step, g = x + f
+        if residual >= last:
+            held = 0
+        elif iterations > 1:
+            if held == 2:
+                dF[0], dG[0] = dF[1], dG[1]
+                held = 1
+            np.subtract(f, prev[0], out=dF[held])
+            np.subtract(x, prev[1], out=dG[held])
+            held += 1
+        prev[0], prev[1] = f, x
+        last = residual
+        if held:
+            gamma = np.linalg.lstsq(dF[:held] @ dF[:held].T, dF[:held] @ f, rcond=None)[0]
+            x -= gamma @ dG[:held]
+        x -= math.log(np.sum(np.exp(x)) / d)
     # Freed before the result is allocated, so `full` does not land above
-    # these n x d buffers and pin the heap once they are released.
-    del X, Y, B
+    # these buffers and pin the heap once they are released.
+    del X, B, dF, dG, prev
     full = np.zeros(n)
-    full[nz] = w
+    full[nz] = np.exp(x)
     return LewisWeights(
         p=p,
         w=full,
         gamma=_claimed_gamma(residual, p),
         residual=residual,
         iterations=iterations,
-        converged=converged,
+        converged=residual <= tol,
     )
 
 
-def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float,
-                     X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Leverage scores of X = diag(w^(1/2-1/p)) B: x_i^T (X^T X)^(-1) x_i.
+def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
+                     X: np.ndarray) -> np.ndarray:
+    """Leverage scores of the columns of X = B diag(v), v = exp((1/2 - 1/p) x).
 
-    X and Y are work buffers shaped like B; both are overwritten. The Gram
-    route loses accuracy in proportion to eps * cond(X^T X). It is used only
-    while that error stays a hundredth of `tol`, so a residual it reports
-    below `tol` is one a QR would report too.
+    X is a work buffer shaped like B. It is overwritten, last with M^T B for
+    an M with M^T X X^T M = I, so that tau = v^2 * colsum(X^2). M = D L^(-T)
+    from the equilibrated Gram matrix while eps * cond(D X X^T D) stays a
+    hundredth of `tol`, so a residual it reports below `tol` is one a QR
+    would report too; otherwise M = R^(-1) from `_qr_inverse`.
     """
     # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
     # factorization rejects, or a non-finite tau, which the caller rejects.
     with np.errstate(all="ignore"):
-        np.multiply((w ** (0.5 - 1.0 / p))[:, None], B, out=X)
-        G = X.T @ X
+        v = np.exp((0.5 - 1.0 / p) * x)
+        np.multiply(B, v, out=X)
+        G = X @ X.T
         D = 1.0 / np.sqrt(np.diag(G))
         Gs = D[:, None] * G * D
     try:
@@ -138,19 +167,28 @@ def _scaled_leverage(B: np.ndarray, w: np.ndarray, p: float, tol: float,
         accurate = np.finfo(np.float64).eps * np.linalg.cond(Gs) <= 1e-2 * tol
     except np.linalg.LinAlgError:
         accurate = False
-    if not accurate:
-        return _qr_leverage(X)
-    # (X^T X)^(-1) = D L^(-T) L^(-1) D, so tau_i = ||x_i^T D L^(-T)||^2.
-    np.matmul(X, D[:, None] * np.linalg.inv(L).T, out=Y)
-    return np.einsum("ij,ij->i", Y, Y)
+    # M^T = L^(-1) D, so that M = D L^(-T).
+    Mt = np.linalg.inv(L) * D if accurate else _qr_inverse(X)
+    np.matmul(Mt, B, out=X)
+    tau = np.einsum("ij,ij->j", X, X)
+    with np.errstate(over="ignore"):
+        v *= v
+    tau *= v
+    return tau
 
 
-def _qr_leverage(X: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(X, mode="reduced")
-    # A non-finite R passes on to the caller's non-finite check.
-    if np.all(np.isfinite(R)) and matrix_rank_cutoff(R) < X.shape[1]:
-        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {X.shape[1]}")
-    return np.einsum("ij,ij->i", Q, Q)
+def _qr_inverse(X: np.ndarray) -> np.ndarray:
+    """R^(-T) for the triangular factor R of X^T, after the rank rule on R.
+
+    Q is never formed. R has X's singular values, so this is the one place
+    the iteration decides rank.
+    """
+    R = np.linalg.qr(X.T, mode="r")
+    if not np.all(np.isfinite(R)):
+        raise DegenerateMatrixError("non-finite leverage scores: the scaled matrix overflows")
+    if matrix_rank_cutoff(R) < X.shape[0]:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {X.shape[0]}")
+    return np.linalg.inv(R).T
 
 
 def _claimed_gamma(residual: float, p: float) -> float:

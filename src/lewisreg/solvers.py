@@ -28,6 +28,8 @@ _EPS = np.finfo(float).eps
 # The walk counts a residual or edge slope as zero below this times cond(Q_B)
 # and its row's size; on 300 tie-heavy integer inputs rounding reached 1.5 eps.
 _ROUNDING = 16 * _EPS
+# Breakpoints `_first_reaching` orders before it falls back to a full sort.
+_HEAD = 32
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,21 @@ def weighted_median(values, weights) -> float:
 
 
 def _first_reaching(t, w, level):
-    """Sort order of t and the first position where the cumulative weight reaches level."""
+    """Stable sort order of t, through the first position where the cumulative weight reaches level.
+
+    Walk pivots stop within the first few breakpoints, so the rows with t at
+    most the _HEAD-th smallest value, ties included, are tried first. Sorted
+    stably they are a prefix of the full stable order, and their cumsum a
+    prefix of its cumsum, so the position is the one the full sort gives.
+    The full sort runs only when that prefix falls short of level, as it
+    does for the walk's phase-1 medians.
+    """
+    if t.size > _HEAD:
+        head = np.flatnonzero(t <= np.partition(t, _HEAD - 1)[_HEAD - 1])
+        order = head[np.argsort(t[head], kind="stable")]
+        cum = np.cumsum(w[order])
+        if cum[-1] >= level:
+            return order, int(np.searchsorted(cum, level))
     order = np.argsort(t, kind="stable")
     cum = np.cumsum(w[order])
     return order, min(int(np.searchsorted(cum, level)), t.size - 1)

@@ -1,10 +1,15 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from lewisreg import realize, rng
 from lewisreg.experiments import (
+    SCHEMA_VERSION,
     ExperimentConfig,
+    _plan,
+    _random_instance,
     fit_loglog_slope,
     preset_config,
     run_experiment,
@@ -86,3 +91,25 @@ def test_ratio_close_to_one_with_generous_budget():
     rep = run_experiment(small_l1_config(trials=8, m_target=1500.0))
     ratios = np.array([t["ratio"] for t in rep.trials])
     assert np.median(ratios) < 1.05
+
+
+# sha256 of the realized `indices` of trials 0-3, as int64 bytes in trial
+# order, at schema version 2.
+PRESET_SKETCH_DIGESTS = {
+    "l1-accept": "e73db796f5c813f6f33163638d6681fb5c8d4d3c08a860f627756732d5067624",
+    "lp-accept": "9b2889fb9010d0eca09bde50e9c03d5a1c1166a52e7d38da63f1dcc792dfb5ab",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SKETCH_DIGESTS))
+def test_preset_sketches_are_pinned(name):
+    # A change to the Lewis weights, the plans or `realize` that moves one
+    # realized row fails here: that is a versioned break, which bumps
+    # SCHEMA_VERSION and these digests together.
+    assert SCHEMA_VERSION == 2
+    config = preset_config(name)
+    plan = _plan(config, _random_instance(config).A, config.p, config.scheme)
+    h = hashlib.sha256()
+    for t in range(4):
+        h.update(realize(plan, rng.derive(config.seed, 0x02, t)).indices.tobytes())
+    assert h.hexdigest() == PRESET_SKETCH_DIGESTS[name]

@@ -103,37 +103,91 @@ def _svd_residual(A, w, p):
     return float(np.max(np.abs(_svd_leverage(A, w, p) / w[w > 0] - 1.0)))
 
 
+def _plain_iterates(A, p, count):
+    """w_0 = d/n, then the plain recurrence on SVD leverage scores, each rescaled to sum d."""
+    d = A.shape[1]
+    ws = [np.full(A.shape[0], d / A.shape[0])]
+    while len(ws) < count:
+        w = ws[-1] ** (1.0 - p / 2.0) * _svd_leverage(A, ws[-1], p) ** (p / 2.0)
+        ws.append(w * (d / np.sum(w)))
+    return ws
+
+
+def _mixed_iterates(A, p, count):
+    """The first `count` iterates of `lewis_weights` replayed on SVD leverage scores.
+
+    Type-II Anderson mixing of depth 2 in x = log w: the plain step is
+    f = (p/2) log(tau / w), the next iterate x + f - (dX + dF) gamma with
+    gamma minimizing ||f - dF gamma||, the history dropped whenever the
+    residual does not fall, and each iterate rescaled to sum d.
+    """
+    d = A.shape[1]
+    x = np.full(A.shape[0], np.log(d / A.shape[0]))
+    ws = [np.exp(x)]
+    dF, dG, prev, last = [], [], None, np.inf
+    while len(ws) < count:
+        f = np.log(_svd_leverage(A, np.exp(x), p)) - x
+        residual = np.max(np.abs(np.expm1(f)))
+        f *= p / 2.0
+        g = x + f
+        if residual >= last:
+            dF, dG, prev = [], [], None
+        if prev is not None:
+            dF, dG = [*dF, f - prev[0]][-2:], [*dG, g - prev[1]][-2:]
+        prev, last, x = (f, g), residual, g
+        if dF:
+            F = np.array(dF)
+            x = g - np.linalg.lstsq(F @ F.T, F @ f, rcond=None)[0] @ np.array(dG)
+        x = x - np.log(np.sum(np.exp(x)) / d)
+        ws.append(np.exp(x))
+    return ws
+
+
 def test_gram_path_matches_svd_reference(monkeypatch):
     from lewisreg import lewis
 
     def no_fallback(X):
         raise AssertionError("well-conditioned input took the QR fallback")
 
-    monkeypatch.setattr(lewis, "_qr_leverage", no_fallback)
+    monkeypatch.setattr(lewis, "_qr_inverse", no_fallback)
     # Column scales up to 1e8: the equilibrated Gram matrix stays well conditioned.
     A = np.random.default_rng(21).standard_normal((3000, 6)) * np.logspace(0, 8, 6)
     for p in (1.0, 1.5):
         lw = lewis_weights(A, p)
         assert lw.converged
-        w = np.full(A.shape[0], A.shape[1] / A.shape[0])
-        for _ in range(lw.iterations - 1):
-            w = w ** (1.0 - p / 2.0) * _svd_leverage(A, w, p) ** (p / 2.0)
-            w *= A.shape[1] / np.sum(w)
-        np.testing.assert_allclose(lw.w, w, rtol=1e-12)
+        # max_iter=1 and 2 return iterates 0 and 1, which precede any mixing.
+        for k, w in enumerate(_plain_iterates(A, p, 2), start=1):
+            np.testing.assert_allclose(lewis_weights(A, p, max_iter=k).w, w, rtol=1e-12)
+        np.testing.assert_allclose(lw.w, _mixed_iterates(A, p, lw.iterations)[-1], rtol=1e-12)
         assert _svd_residual(A, lw.w, p) <= 1e-8
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_rescaled_iterate_is_plain_iterate_rescaled(p):
     # Leverage scores of W^(1/2-1/p) A do not change when w becomes c*w, so
-    # rescaling each iterate leaves the shape of the sequence unchanged.
+    # rescaling each iterate leaves the shape of the sequence unchanged. The
+    # first two iterates precede any mixing; the rest follow its rule.
     A = np.random.default_rng(31).standard_normal((400, 5)) * np.logspace(0, 2, 5)
-    w = np.full(A.shape[0], A.shape[1] / A.shape[0])
-    for k in range(1, 7):
-        w = w ** (1.0 - p / 2.0) * _svd_leverage(A, w, p) ** (p / 2.0)
+    plain, mixed = _plain_iterates(A, p, 2), _mixed_iterates(A, p, 7)
+    for k in range(1, 8):
         lw = lewis_weights(A, p, tol=1e-15, max_iter=k)
         assert lw.iterations == k
-        np.testing.assert_allclose(lw.w, w * (A.shape[1] / np.sum(w)), rtol=1e-12)
+        if k <= 2:
+            np.testing.assert_allclose(lw.w, plain[k - 1], rtol=1e-12)
+        np.testing.assert_allclose(lw.w, mixed[k - 1], rtol=1e-12)
+
+
+def test_mixing_history_dropped_when_residual_rises():
+    # On this input the residual rises from 0.26 at iterate 3 to 0.34 at
+    # iterate 4 (iterate 0 is uniform), so the mixing drops its history and
+    # takes a plain step there.
+    A = gen_random(1000, 4, heavy_row_scale=1e3, seed=2).instance.A
+    lw = lewis_weights(A, 1.0)
+    assert lw.converged
+    mixed = _mixed_iterates(A, 1.0, lw.iterations)
+    residuals = [_svd_residual(A, w, 1.0) for w in mixed]
+    assert any(b >= a for a, b in zip(residuals, residuals[1:]))
+    np.testing.assert_allclose(lw.w, mixed[-1], rtol=1e-12)
 
 
 def test_gaussian_converges_in_few_iterations():
@@ -155,17 +209,67 @@ def test_cauchy_coherent_design_converges(p):
     assert _svd_residual(A, lw.w, p) <= 1e-7
 
 
+def _row_relative_svd_residual(A, w, p):
+    """The fixed-point residual with tau_i = ||x_i V S^(-1)||^2, X = U S V^T by SVD.
+
+    rowsum(U^2) carries an absolute error near eps, which swamps the scores
+    of rows with tiny weights; this form computes each score from its row.
+    """
+    nz = w > 0
+    X = (w[nz] ** (0.5 - 1.0 / p))[:, None] * A[nz]
+    _, S, Vt = np.linalg.svd(X, full_matrices=False)
+    Y = X @ (Vt.T / S)
+    return float(np.max(np.abs(np.einsum("ij,ij->i", Y, Y) / w[nz] - 1.0)))
+
+
+@pytest.mark.parametrize("seed, p", [(14, 1.0), (9, 1.5)])
+def test_cubed_cauchy_design_converges(seed, p):
+    # Row scales |Cauchy|^3 give weights down to 1e-21 and 1e-36. Scores read
+    # off a Householder Q have an absolute error near eps, so these ran 500
+    # iterations unconverged; row-relative scores converge.
+    r = np.random.default_rng(seed)
+    A = np.abs(r.standard_cauchy(20_000))[:, None] ** 3 * r.standard_normal((20_000, 10))
+    lw = lewis_weights(A, p)
+    assert lw.converged
+    assert _row_relative_svd_residual(A, lw.w, p) <= 1e-7
+
+
+def test_heavy_row_converges_in_few_iterations():
+    # With one row 1e4 times the rest, the slow mode of the plain recurrence
+    # is the shape of w, not its scale: it takes 30 iterations here.
+    A = gen_random(2000, 5, heavy_row_scale=1e4, seed=1).instance.A
+    lw = lewis_weights(A, 1.0)
+    assert lw.converged and lw.iterations <= 15
+    assert _svd_residual(A, lw.w, 1.0) <= 1e-7
+
+
+def test_peak_memory_within_three_buffer_kernel():
+    # The kernel this replaced held three n x d buffers and peaked at
+    # 13 652 227 bytes on this input; the mixing history must fit in the room
+    # the third buffer left.
+    import tracemalloc
+
+    A = np.random.default_rng(0).standard_normal((50_000, 10))
+    tracemalloc.start()
+    try:
+        lewis_weights(A, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_652_227
+
+
 def test_extreme_matrix_scale_stays_on_gram_path(monkeypatch):
     from lewisreg import lewis
 
     calls = []
-    qr = lewis._qr_leverage
+    qr = lewis._qr_inverse
 
     def counting_qr(X):
         calls.append(X.shape)
         return qr(X)
 
-    monkeypatch.setattr(lewis, "_qr_leverage", counting_qr)
+    monkeypatch.setattr(lewis, "_qr_inverse", counting_qr)
     A = np.random.default_rng(23).standard_normal((2000, 6))
     base = lewis_weights(A, 1.0)
     # Unscaled, X^T X underflows at 1e-170 and overflows at 1e170.
@@ -218,8 +322,8 @@ def test_collinear_columns_raise_at_first_qr(monkeypatch, p, gap):
     # rank rule. The old 1e-14 test on R's diagonal let 1e-10 to 1e-13
     # through, to 500 QR iterations and converged=False.
     calls = []
-    qr = lewis_module._qr_leverage
-    monkeypatch.setattr(lewis_module, "_qr_leverage", lambda X: calls.append(1) or qr(X))
+    qr = lewis_module._qr_inverse
+    monkeypatch.setattr(lewis_module, "_qr_inverse", lambda X: calls.append(1) or qr(X))
     A = np.random.default_rng(0).standard_normal((2000, 5))
     A[:, 1] = A[:, 0] + gap * A[:, 1]
     with pytest.raises(DegenerateMatrixError, match="rank"):

@@ -13,7 +13,7 @@ from lewisreg import (
     weighted_lp_loss,
     weighted_median,
 )
-from lewisreg.solvers import _line_search
+from lewisreg.solvers import _first_reaching, _line_search
 
 
 def subgradient_l1_oracle(A, y, s=None, epochs=30, iters_per_epoch=2500):
@@ -75,6 +75,31 @@ def test_weighted_median_tie_break_lowest():
     assert weighted_median([5.0, 2.0, 8.0], [1.0, 2.0, 1.0]) == 2.0
     with pytest.raises(ValueError):
         weighted_median([1.0], [-1.0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_reaching_matches_full_sort(seed):
+    # Breakpoints with few distinct values and signed zeros, weights with
+    # zeros, and levels from 0 to past the total, some hit exactly: the
+    # position and the order through it are those of a full stable sort,
+    # whether the prefix reaches the level or the full sort runs.
+    r = np.random.default_rng(seed)
+    prefixes = 0
+    for n in (1, 31, 32, 33, 200, 3000):
+        t = r.integers(-2, 3, n) * r.choice([0.5, 1.0], n)
+        t[t == 0] *= r.choice([-1.0, 1.0], int(np.sum(t == 0)))
+        w = r.integers(0, 3, n).astype(float)
+        order = np.argsort(t, kind="stable")
+        cum = np.cumsum(w[order])
+        levels = [0.0, *(cum[-1] * np.array([1e-3, 0.01, 0.1, 0.5, 1.0, 1.5])),
+                  *cum[r.integers(0, n, 4)]]
+        for level in levels:
+            m = min(int(np.searchsorted(cum, level)), n - 1)
+            got, k = _first_reaching(t, w, level)
+            assert k == m
+            np.testing.assert_array_equal(got[:k + 1], order[:m + 1])
+            prefixes += got.size < n
+    assert prefixes > 0
 
 
 def test_l1_matches_subgradient_oracle():
