@@ -44,6 +44,12 @@ from .linalg import as_matrix, leverage_scores, matrix_rank_cutoff
 from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 
 
+# Iterations without a new minimum of the residual after which the iteration
+# stops unconverged: rounding keeps it near eps * cond(X), where it only wanders.
+# A converging residual misses a new minimum at most twice in a row.
+_STALL_ITERATIONS = 10
+
+
 @dataclass(frozen=True)
 class LewisWeights:
     p: float
@@ -70,8 +76,10 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     sum d, the sum at the fixed point. The returned w is the last iterate
     evaluated, and the stopping rule, `residual`, `gamma` and `converged` are
     those of that w. Zero rows get weight 0 and are excluded from the fixed
-    point. Non-convergence within max_iter is reported through
-    `converged`/`residual`, not raised.
+    point. Non-convergence is reported through `converged`/`residual`, not
+    raised: within max_iter, or once the residual has set no new minimum for
+    `_STALL_ITERATIONS` iterations, which happens when rounding keeps it
+    above `tol`.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
@@ -97,7 +105,7 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     # oldest first, and f and g of the previous iterate.
     dF, dG, prev = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
     held, last = 0, math.inf
-    residual, iterations = math.inf, 0
+    residual, best, stalled, iterations = math.inf, math.inf, 0, 0
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
         # ratio a_i^T (...)^(-1) a_i / w_i^(2/p) equals tau_i / w_i.
@@ -110,7 +118,8 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
             raise DegenerateMatrixError(
                 f"Lewis iteration {iterations} produced non-finite leverage scores"
             )
-        if residual <= tol or iterations == max_iter:
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if residual <= tol or iterations == max_iter or stalled == _STALL_ITERATIONS:
             break
         f *= p / 2.0
         x += f                                  # the plain step, g = x + f

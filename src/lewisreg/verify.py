@@ -10,10 +10,11 @@ vector (see `lewis`). All of it is harness instrumentation: computing the
 full-data minimizer and reading all labels is allowed here, never in the
 query-limited solve path.
 
-Battery losses are computed a few megabytes of residual columns at a time,
-each block taken to |.|^p in place. The RUC ascent moves along fixed
-directions, so their images under A and A_s are computed once per trial and
-each candidate is scored from the carried residual vectors, with no mat-vec.
+Every battery and ascent point lies on a line r + t A eta in residual space.
+The images A eta of a trial's directions come from one matrix product, and
+the sketched images are gathered from them. `_line_losses` sums each line's
+points along contiguous rows with ufuncs only, so no loss depends on the
+other points of a call or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ class TaylorReport:
     argmax_t: float
 
 
-# `_loss_batch` holds one block of residual columns at a time, about
-# _BLOCK_BYTES (32 columns at n = 20 000), small enough to stay near the cache.
-# BLAS kernels compute columns in groups of up to _BLOCK_ALIGN, so block
-# widths that are multiples of it round every column the same way.
-_BLOCK_BYTES = 5 << 20
-_BLOCK_ALIGN = 16
-
-
 def default_radii(eps: float, delta: float) -> tuple:
     """Radius grid covering the three regimes of the loss-difference argument."""
     edge = 25.0 / (eps * delta)
@@ -99,48 +92,36 @@ def _unit_directions(seed: int, count: int, d: int) -> np.ndarray:
     return dirs[norms > 0] / norms[norms > 0, None]
 
 
-def _beta_battery(A, beta_star, L_star, p, spec: BetaSample, eps, delta) -> np.ndarray:
-    dirs = _unit_directions(rng.derive(spec.seed, 0xBE), spec.directions, A.shape[1])
-    radii = spec.radii if spec.radii is not None else default_radii(eps, delta)
-    base = L_star if L_star > 0 else 1.0
-    rows = [beta_star[None, :]]
-    for eta in dirs:
-        energy = lp_norm(A @ eta, p) ** p
-        if energy == 0:
-            continue
-        t = (np.asarray(radii) * base / energy) ** (1.0 / p)
-        rows.append(beta_star[None, :] + t[:, None] * eta[None, :])
-    return np.vstack(rows)
+def _line_losses(r0, D, T, p, s=None) -> np.ndarray:
+    """sum_i s_i |r0_i + t D[k, i]|^p for every t in row k of T, for every row k of D.
 
-
-def _block_columns(n: int) -> int:
-    """Battery columns per block of `_loss_batch` for n rows."""
-    return max(_BLOCK_ALIGN, _BLOCK_BYTES // (8 * n) // _BLOCK_ALIGN * _BLOCK_ALIGN)
-
-
-def _loss_batch(A, y, betas, p, s=None) -> np.ndarray:
-    """L(beta) (or the s-weighted loss) for every row of `betas`; y=None is y = 0.
-
-    With one BLAS thread a column's value does not depend on the block width,
-    since widths are multiples of _BLOCK_ALIGN. A last block of one column
-    joins the one before it, because numpy computes a lone column by other
-    routines (a mat-vec and a pairwise sum) that round differently.
+    s=None is s = 1, and r0 may be a scalar. Each line's points form one
+    contiguous block, so a value equals the 1-D form
+    `np.sum(s * np.abs(r0 + t * D[k]) ** p)` bit for bit, whatever else
+    the call holds.
     """
-    k = betas.shape[0]
-    cols = _block_columns(A.shape[0])
-    out = np.empty(k)
-    lo = 0
-    while lo < k:
-        hi = lo + cols if k - lo > cols + 1 else k
-        R = A @ betas[lo:hi].T
-        if y is not None:
-            R -= y[:, None]
-        np.abs(R, out=R)
-        if p != 1.0:
-            np.power(R, p, out=R)
-        out[lo:hi] = (s @ R) if s is not None else R.sum(axis=0)
-        lo = hi
+    out = np.empty(T.shape)
+    R = np.empty((T.shape[1], D.shape[1]))
+    for k, t in enumerate(T):
+        np.multiply(t[:, None], D[k], out=R)
+        R += r0
+        out[k] = _row_losses(R, p, s)
     return out
+
+
+def _row_losses(R, p, s=None) -> np.ndarray:
+    """sum_i s_i |R[k, i]|^p for every row k of the C-contiguous R, overwritten.
+
+    R is taken to |R|^p in place and reduced along its rows by ufuncs only, so
+    each value is numpy's pairwise sum of its own row, and no BLAS routine
+    (nor its thread count) takes part.
+    """
+    np.abs(R, out=R)
+    if p != 1.0:
+        np.power(R, p, out=R)
+    if s is not None:
+        R *= s
+    return R.sum(axis=1)
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -160,7 +141,9 @@ def ruc_check(
 
     Records the corrected violation |(Ltilde(b) - Ltilde(b*)) - (L(b) - L(b*))| / L(b)
     maximized over the battery plus a local ascent, and the uncorrected
-    |Ltilde(b) - L(b)| / L(b) over the same battery.
+    |Ltilde(b) - L(b)| / L(b) over the same battery: b* and, along each sampled
+    direction eta with A eta != 0, the b* + t eta with ||t A eta||_p^p equal to
+    the radii times L(b*), whose residuals are A b* - y + t A eta.
     """
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
@@ -168,93 +151,97 @@ def ruc_check(
     p = instance.p
     y = instance.reveal_hidden_labels()
     beta_star = as_vector(beta_star, "beta_star")
-    A_s = A[sketch.indices]
-    y_s = y[sketch.indices]
-    w_s = sketch.weights
+    rows, w_s = sketch.indices, sketch.weights
 
-    radius_scale = float(np.sum(np.abs(A @ beta_star - y) ** p))
-    B = _beta_battery(A, beta_star, radius_scale, p, betas, eps, delta)
-    L = _loss_batch(A, y, B, p)
-    Lt = _loss_batch(A_s, y_s, B, p, s=w_s)
-    # beta* is battery row 0; using the batched values for the reference makes
-    # the violation at beta* vanish identically rather than to rounding.
-    L_star = float(L[0])
-    Lt_star = float(Lt[0])
-    delta_corr = L_star - Lt_star
+    r0 = A @ beta_star - y
+    r0_s = r0[rows]
+    L_star = float(np.sum(np.abs(r0) ** p))
+    Lt_star = float(np.sum(w_s * np.abs(r0_s) ** p))
+    dirs = _unit_directions(rng.derive(betas.seed, 0xBE), betas.directions, A.shape[1])
+    # One product for all directions: a block of it can round a row differently.
+    D = dirs @ A.T
+    energy = _line_losses(0.0, D, np.ones((D.shape[0], 1)), p)[:, 0]
+    keep = energy > 0
+    if not keep.all():
+        dirs, D, energy = dirs[keep], D[keep], energy[keep]
+    radii = betas.radii if betas.radii is not None else default_radii(eps, delta)
+    base = L_star if L_star > 0 else 1.0
+    T = (np.asarray(radii) * base / energy[:, None]) ** (1.0 / p)
+    D_s = D.take(rows, axis=1)
+    # b* is battery row 0. Its losses are L_star and Lt_star themselves, so
+    # the violation at b* vanishes identically rather than to rounding.
+    L = np.concatenate(([L_star], _line_losses(r0, D, T, p).ravel()))
+    Lt = np.concatenate(([Lt_star], _line_losses(r0_s, D_s, T, p, w_s).ravel()))
     good = L > 0
-    corrected = np.zeros(B.shape[0])
-    uncorrected = np.zeros(B.shape[0])
+    corrected = np.zeros(L.size)
+    uncorrected = np.zeros(L.size)
     corrected[good] = np.abs((Lt[good] - Lt_star) - (L[good] - L_star)) / L[good]
     uncorrected[good] = np.abs(Lt[good] - L[good]) / L[good]
 
     worst = int(np.argmax(corrected))
+    x0, r, r_s = beta_star, r0, r0_s
+    if worst > 0:
+        k, j = divmod(worst - 1, T.shape[1])
+        t = T[k, j]
+        x0, r, r_s = beta_star + t * dirs[k], t * D[k] + r0, t * D_s[k] + r0_s
+    del D, D_s
     dirs = _unit_directions(rng.derive(betas.seed, 0xAC), betas.ascent_rounds, A.shape[1])
-    x0 = B[worst]
-    refined = _ruc_climb(
-        A @ x0 - y, dirs @ A.T, A_s @ x0 - y_s, dirs @ A_s.T, w_s, p,
-        L_star, Lt_star, 0.5 * max(np.linalg.norm(x0), 1.0),
-    )
+    D = dirs @ A.T
+    refined = _ruc_climb(r, D, r_s, D.take(rows, axis=1), w_s, p, L_star, Lt_star,
+                         float(corrected[worst]), 0.5 * max(np.linalg.norm(x0), 1.0))
     return RucTrial(
-        delta_value=delta_corr,
+        delta_value=L_star - Lt_star,
         max_rel_violation=max(float(np.max(corrected)), refined),
         max_uncorrected=float(np.max(uncorrected)),
         violation_at_star=float(corrected[0]),
-        betas_evaluated=B.shape[0],
+        betas_evaluated=L.size,
     )
 
 
-def _ruc_climb(r, D, r_s, D_s, w_s, p, L_star, Lt_star, step) -> float:
+def _ruc_climb(r, D, r_s, D_s, w_s, p, L_star, Lt_star, best, step) -> float:
     """Greedy hill climb of the corrected violation along the rows of D and D_s.
 
-    r and r_s are the full and sketched residuals at the start, D and D_s the
-    images of the unit directions under A and A_s. Each round tries +step
-    then -step along one direction, keeps the first improvement, and
-    otherwise shrinks the step by 0.7, stopping once it falls below 1e-12.
+    r and r_s are the full and sketched residuals at the start, `best` their
+    violation, and D and D_s the images of the unit directions under A and
+    A_s. Each round tries +step then -step along one direction, keeps the
+    first improvement, and otherwise shrinks the step by 0.7, stopping once
+    it falls below 1e-12.
     """
-
-    def score(r, r_s) -> float:
-        Lb = _residual_loss(r, p)
-        if Lb <= 0:
-            return 0.0
-        Ltb = _residual_loss(r_s, p, w_s)
-        return abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
-
-    best = score(r, r_s)
     for k in range(D.shape[0]):
-        improved = False
-        for sign in (1.0, -1.0):
-            c = sign * step
-            cand, cand_s = r + c * D[k], r_s + c * D_s[k]
-            val = score(cand, cand_s)
+        for c in (step, -step):
+            T = np.full((1, 1), c)
+            Lb = float(_line_losses(r, D[k:k + 1], T, p)[0, 0])
+            if Lb <= 0:
+                continue
+            Ltb = float(_line_losses(r_s, D_s[k:k + 1], T, p, w_s)[0, 0])
+            val = abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
             if val > best:
-                best, r, r_s = val, cand, cand_s
-                improved = True
+                # The same sums `_line_losses` formed, so val stays exact.
+                best, r, r_s = val, c * D[k] + r, c * D_s[k] + r_s
                 break
-        if not improved:
+        else:
             step *= 0.7
             if step < 1e-12:
                 break
     return float(best)
 
 
-def _residual_loss(r, p, s=None) -> float:
-    R = np.abs(r)
-    if p != 1.0:
-        np.power(R, p, out=R)
-    return float(R.sum() if s is None else s @ R)
-
-
 def embedding_check(
     A, sketch: Sketch, p: float, eps: float, directions: int = 200, seed: int = 0
 ) -> EmbedReport:
-    """max over sampled unit beta of | ||SA beta||_p^p / ||A beta||_p^p - 1 |."""
+    """max over sampled unit beta of | ||SA beta||_p^p / ||A beta||_p^p - 1 |.
+
+    The images A beta come from one product, the sketched ones are gathered
+    from it, and both are reduced in place as `_line_losses` reduces a line.
+    """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
     _check_unit_interval("eps", eps)
     A = as_matrix(A)
     dirs = _unit_directions(rng.derive(seed, 0xE3), directions, A.shape[1])
-    full = _loss_batch(A, None, dirs, p)
-    sk = _loss_batch(A[sketch.indices], None, dirs, p, s=sketch.weights)
+    D = dirs @ A.T
+    sk = _row_losses(D.take(sketch.indices, axis=1), p, sketch.weights)
+    full = _row_losses(D, p)
     good = full > 0
     dev = float(np.max(np.abs(sk[good] / full[good] - 1.0))) if good.any() else 0.0
     return EmbedReport(p=p, directions=int(good.sum()), max_ratio_dev=dev,

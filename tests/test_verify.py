@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +32,12 @@ def test_ruc_violation_zero_at_beta_star_and_full_sketch():
     inst, full = make_instance()
     trial = lr.ruc_check(inst, full_sketch(inst.n), full.beta,
                          BetaSample(directions=10, seed=1), eps=0.25)
+    # The sketched residuals are the full ones gathered and the reductions
+    # are the same ufunc sums, so on unit weights Lt equals L bit for bit.
     assert trial.violation_at_star == 0.0
-    assert trial.max_rel_violation == pytest.approx(0.0, abs=1e-12)
-    assert trial.max_uncorrected == pytest.approx(0.0, abs=1e-12)
-    assert trial.delta_value == pytest.approx(0.0, abs=1e-10)
+    assert trial.max_rel_violation == 0.0
+    assert trial.max_uncorrected == 0.0
+    assert trial.delta_value == 0.0
 
 
 def test_ruc_sampled_sketch_reports_positive_violation():
@@ -74,30 +80,34 @@ def _ascend_scalar_reference(fn, x0, rounds, seed) -> float:
 
 
 def _ruc_reference(inst, sketch, beta_star, spec, eps, delta) -> float:
-    """max_rel_violation of `ruc_check`, with the climb evaluating losses from beta."""
+    """max_rel_violation of `ruc_check`, with every loss evaluated from its beta."""
     A, p = inst.A, inst.p
     y = inst.reveal_hidden_labels()
     A_s, y_s, w_s = A[sketch.indices], y[sketch.indices], sketch.weights
-    scale = float(np.sum(np.abs(A @ beta_star - y) ** p))
-    B = verify._beta_battery(A, beta_star, scale, p, spec, eps, delta)
-    L = verify._loss_batch(A, y, B, p)
-    Lt = verify._loss_batch(A_s, y_s, B, p, s=w_s)
-    L_star, Lt_star = float(L[0]), float(Lt[0])
-    good = L > 0
-    corrected = np.zeros(B.shape[0])
-    corrected[good] = np.abs((Lt[good] - Lt_star) - (L[good] - L_star)) / L[good]
+
+    def losses(beta):
+        return (float(np.sum(np.abs(A @ beta - y) ** p)),
+                float(np.sum(w_s * np.abs(A_s @ beta - y_s) ** p)))
+
+    L_star, Lt_star = losses(beta_star)
 
     def violation(beta):
-        Lb = float(verify._loss_batch(A, y, beta[None, :], p)[0])
-        if Lb <= 0:
-            return 0.0
-        Ltb = float(verify._loss_batch(A_s, y_s, beta[None, :], p, s=w_s)[0])
-        return abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
+        Lb, Ltb = losses(beta)
+        return abs((Ltb - Lt_star) - (Lb - L_star)) / Lb if Lb > 0 else 0.0
 
-    worst = int(np.argmax(corrected))
-    refined = _ascend_scalar_reference(violation, B[worst], spec.ascent_rounds,
+    radii = np.asarray(verify.default_radii(eps, delta))
+    battery = [beta_star]
+    dirs = verify._unit_directions(rng.derive(spec.seed, 0xBE), spec.directions, inst.d)
+    for eta in dirs:
+        energy = np.sum(np.abs(A @ eta) ** p)
+        if energy > 0:
+            ts = (radii * L_star / energy) ** (1.0 / p)
+            battery += [beta_star + t * eta for t in ts]
+    scores = [violation(beta) for beta in battery]
+    worst = int(np.argmax(scores))
+    refined = _ascend_scalar_reference(violation, battery[worst], spec.ascent_rounds,
                                        rng.derive(spec.seed, 0xAC))
-    return max(float(np.max(corrected)), refined)
+    return max(max(scores), refined)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -115,8 +125,8 @@ def test_ruc_climb_matches_reference_ascent(p, seed):
 
 
 def test_ruc_check_memory_stays_blocked():
-    # Half of one n x 256 block of residuals (41 MB at n = 20 000): the battery
-    # losses take a few MB at a time and the climb's direction images 13 MB.
+    # Half of one n x 256 block of residuals (41 MB at n = 20 000): the battery's
+    # direction images take 6.4 MB and the climb's 12.8 MB, one after the other.
     n, d = 20_000, 10
     inst = lr.gen_random(n, d, noise_std=1.0, n_outliers=1, seed=15).instance
     beta = np.linalg.lstsq(inst.A, inst.reveal_hidden_labels(), rcond=None)[0]
@@ -147,34 +157,64 @@ def test_embedding_check_rejects_p_and_eps_out_of_range(p, eps):
         lr.embedding_check(A, full_sketch(100), p, eps=eps, directions=10)
 
 
-def _direct_losses(A, y, B, p, s=None):
-    R = np.abs(A @ B.T - y[:, None]) ** p
-    return R.sum(axis=0) if s is None else s @ R
-
-
 @pytest.mark.parametrize("p", [1.0, 1.5])
-def test_loss_batch_bit_identical_to_direct_expression(p):
-    n, d = 12_000, 7
+def test_line_losses_bit_identical_to_one_line_form(p):
+    n, K, J = 12_000, 4, 6
     r = np.random.default_rng(18)
-    A = r.standard_normal((n, d))
-    y = r.standard_normal(n)
-    zeros = np.zeros(n)
+    D = r.standard_normal((K, n))
+    r0 = r.standard_normal(n)
     s = r.random(n)
-    chunk = verify._block_columns(n)
-    assert 1 < chunk < 256 and 301 % chunk > 1
-    for k in (1, chunk - 1, chunk, chunk + 1, 301):
-        B = r.standard_normal((k, d))
-        # Batches up to chunk + 1 are one block; 301 is blocks of chunk columns.
-        pieces = [B] if k <= chunk + 1 else [B[lo:lo + chunk] for lo in range(0, k, chunk)]
-        for labels, want_y in ((y, y), (None, zeros)):
-            for w in (None, s):
-                want = np.concatenate([_direct_losses(A, want_y, P, p, w) for P in pieces])
-                assert np.array_equal(verify._loss_batch(A, labels, B, p, s=w), want), k
-    # The value of a column does not depend on the block width. (Only the
-    # unweighted form is compared: a multithreaded BLAS mat-vec splits s @ R
-    # into partial sums by the width.)
-    wide = np.concatenate([_direct_losses(A, y, B[lo:lo + 256], p) for lo in (0, 256)])
-    assert np.array_equal(verify._loss_batch(A, y, B, p), wide)
+    T = r.standard_normal((K, J)) * 10.0 ** r.integers(-3, 4, (K, J))
+    for base in (r0, 0.0):
+        for w in (None, s):
+            got = verify._line_losses(base, D, T, p, w)
+            for k in range(K):
+                for j in range(J):
+                    R = np.abs(base + T[k, j] * D[k]) ** p
+                    want = R.sum() if w is None else (w * R).sum()
+                    assert got[k, j] == want, (k, j)
+                # A value does not depend on the other lines or points of a call.
+                alone = verify._line_losses(base, D[k:k + 1], T[k:k + 1], p, w)
+                assert np.array_equal(alone, got[k:k + 1])
+                for j in range(J):
+                    one = verify._line_losses(base, D[k:k + 1], T[k:k + 1, j:j + 1], p, w)
+                    assert one[0, 0] == got[k, j]
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from lewisreg import BetaSample, RegressionInstance, embedding_check, ruc_check
+from lewisreg.sampling import Sketch
+
+r = np.random.default_rng(19)
+n, d = 12_000, 7
+A = r.standard_normal((n, d))
+y = r.standard_normal(n)
+y[::997] *= 1e3
+beta = r.standard_normal(d)
+rows = np.sort(r.choice(n, 1500, replace=False))
+sketch = Sketch(indices=rows, weights=1.0 + 15.0 * r.random(rows.size), seed=0,
+                plan_hash="threads")
+trial = ruc_check(RegressionInstance(A, y, 1.0), sketch, beta, BetaSample(directions=30))
+embed = embedding_check(A, sketch, 1.5, eps=0.5, directions=100)
+values = [trial.delta_value, trial.max_rel_violation, trial.max_uncorrected,
+          trial.violation_at_star, float(trial.betas_evaluated), embed.max_ratio_dev]
+sys.stdout.write(hashlib.sha256(repr([v.hex() for v in values]).encode()).hexdigest())
+"""
+
+
+def test_ruc_and_embedding_independent_of_blas_threads():
+    src = str(Path(verify.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.append(out.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_delta_correction_identity():
@@ -201,7 +241,7 @@ def test_delta_correction_identity():
 def test_embedding_full_sketch_zero_deviation():
     A = np.random.default_rng(5).standard_normal((100, 4))
     rep = lr.embedding_check(A, full_sketch(100), 1.0, eps=0.25, directions=50, seed=2)
-    assert rep.max_ratio_dev == pytest.approx(0.0, abs=1e-12)
+    assert rep.max_ratio_dev == 0.0
     assert rep.passed
     assert rep.directions == 50
 
