@@ -74,12 +74,13 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     ||f - dF gamma||_2. The history is dropped whenever the residual does not
     fall, so the next step is the plain one. Each iterate is then rescaled to
     sum d, the sum at the fixed point. The returned w is the last iterate
-    evaluated, and the stopping rule, `residual`, `gamma` and `converged` are
-    those of that w. Zero rows get weight 0 and are excluded from the fixed
-    point. Non-convergence is reported through `converged`/`residual`, not
-    raised: within max_iter, or once the residual has set no new minimum for
-    `_STALL_ITERATIONS` iterations, which happens when rounding keeps it
-    above `tol`.
+    evaluated when the iteration converges or reaches max_iter, and the one
+    with the smallest residual when it stalls; `residual`, `gamma` and
+    `converged` are those of the returned w. Zero rows get weight 0 and are
+    excluded from the fixed point. Non-convergence is reported through
+    `converged`/`residual`, not raised: within max_iter, or once the residual
+    has set no new minimum for `_STALL_ITERATIONS` iterations, which happens
+    when rounding keeps it above `tol`.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
@@ -105,6 +106,8 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     # oldest first, and f and g of the previous iterate.
     dF, dG, prev = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
     held, last = 0, math.inf
+    # The iterate with the smallest residual so far, returned on a stall stop.
+    x_best = np.empty(m)
     residual, best, stalled, iterations = math.inf, math.inf, 0, 0
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
@@ -118,8 +121,15 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
             raise DegenerateMatrixError(
                 f"Lewis iteration {iterations} produced non-finite leverage scores"
             )
-        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
-        if residual <= tol or iterations == max_iter or stalled == _STALL_ITERATIONS:
+        if residual < best:
+            best, stalled = residual, 0
+            np.copyto(x_best, x)
+        else:
+            stalled += 1
+        if residual <= tol or iterations == max_iter:
+            break
+        if stalled == _STALL_ITERATIONS:
+            x, residual = x_best, best
             break
         f *= p / 2.0
         x += f                                  # the plain step, g = x + f
@@ -140,7 +150,7 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
         x -= math.log(np.sum(np.exp(x)) / d)
     # Freed before the result is allocated, so `full` does not land above
     # these buffers and pin the heap once they are released.
-    del X, B, dF, dG, prev
+    del X, B, dF, dG, prev, x_best
     full = np.zeros(n)
     full[nz] = np.exp(x)
     return LewisWeights(

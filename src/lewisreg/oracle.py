@@ -2,7 +2,8 @@
 
 The label vector of a RegressionInstance is private; the only sanctioned read
 path for algorithms is `query`, which meters distinct indices against an
-optional budget. `active_solve` realizes a label-oblivious plan, queries
+optional budget. A QueryLedger holds the metered indices in one int64 array,
+8 bytes per label. `active_solve` realizes a label-oblivious plan, queries
 exactly the support, and solves the reweighted problem on those rows.
 """
 
@@ -43,25 +44,38 @@ class RegressionInstance:
         return self._y.copy()
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryLedger:
+    """The distinct label indices read so far, against an optional budget.
+
+    The indices are kept in first-seen order in one int64 array, 8 bytes per
+    metered label; only `query` extends it.
+    """
+
     budget: int | None = None
-    queried: list[int] = field(default_factory=list)
-    _seen: set = field(default_factory=set, repr=False)
+    _indices: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), init=False, repr=False
+    )
 
     @property
     def count(self) -> int:
-        return len(self.queried)
+        return self._indices.size
+
+    @property
+    def queried(self) -> tuple[int, ...]:
+        """The metered indices in first-seen order, as an immutable tuple of ints."""
+        return tuple(self._indices.tolist())
 
 
 def query(instance: RegressionInstance, ledger: QueryLedger, i) -> float | np.ndarray:
     """Return the labels at one index or a 1-D array of indices, and meter them.
 
-    Returns a float for one index and an array otherwise. New indices enter
-    the ledger in first-seen order; repeat queries of the same index are
-    free. An index out of range raises IndexError, and the first new index
-    past the budget raises BudgetExceededError, each after metering the new
-    indices before it, as reading them one at a time would.
+    Returns a float for one index and an array otherwise. New indices are
+    appended to the ledger's int64 array in first-seen order, 8 bytes each;
+    repeat queries of the same index are free. An index out of range raises
+    IndexError, and the first new index past the budget raises
+    BudgetExceededError, each after metering the new indices before it, as
+    reading them one at a time would.
     """
     idx = np.asarray(i)
     if idx.ndim > 1:
@@ -71,11 +85,11 @@ def query(instance: RegressionInstance, ledger: QueryLedger, i) -> float | np.nd
     head = flat[:bad[0]] if bad.size else flat
     first = np.sort(np.unique(head, return_index=True)[1])
     new = head[first]
-    new = new[~np.isin(new, np.fromiter(ledger._seen, np.int64, len(ledger._seen)))]
+    if ledger.count:
+        new = new[~np.isin(new, ledger._indices)]
     room = new.size if ledger.budget is None else max(ledger.budget - ledger.count, 0)
-    metered = new[:room].tolist()
-    ledger._seen.update(metered)
-    ledger.queried.extend(metered)
+    if room and new.size:
+        ledger._indices = np.concatenate((ledger._indices, new[:room]))
     if new.size > room:
         raise BudgetExceededError(
             f"query budget {ledger.budget} exhausted at index {new[room]}"
@@ -111,7 +125,7 @@ def active_solve(
     y_s = query(instance, ledger, sketch.indices)
     # query-ledger exactness: the labels read are exactly the sketch support
     if ledger.count != sketch.support_size or not np.array_equal(
-        np.sort(np.asarray(ledger.queried)), sketch.indices
+        np.sort(ledger._indices), sketch.indices
     ):
         raise RuntimeError(
             f"query ledger ({ledger.count} labels) does not match the sketch "

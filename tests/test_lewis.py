@@ -329,15 +329,32 @@ def test_collinear_columns_raise_at_first_qr(monkeypatch, p, gap):
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
 @pytest.mark.parametrize("gap", [1e-8, 1e-9])
-def test_collinear_columns_stop_at_rounding_floor(p, gap):
+def test_collinear_columns_stop_at_rounding_floor(monkeypatch, p, gap):
     # eps * cond(X) keeps the residual near 1e-7 (1e-8) and 1e-6 (1e-9), above
     # tol, where it wanders without converging; these ran all 500 iterations.
+    # The stall stop returns the best iterate it saw, not the last one.
+    seen = []
+    leverage = lewis_module._scaled_leverage
+
+    def recording(B, x, p, tol, X):
+        tau = leverage(B, x, p, tol, X)
+        with np.errstate(divide="ignore", over="ignore"):
+            f = np.log(tau) - x
+            residual = float(np.max(np.abs(np.expm1([f.min(), f.max()]))))
+        seen.append((residual, np.exp(x)))
+        return tau
+
+    monkeypatch.setattr(lewis_module, "_scaled_leverage", recording)
     A = np.random.default_rng(0).standard_normal((2000, 5))
     A[:, 1] = A[:, 0] + gap * A[:, 1]
     lw = lewis_weights(A, p)
     assert not lw.converged
     assert lw.iterations <= 50
     assert lw.residual < 1e-5 and np.isfinite(lw.gamma)
+    best, w = min(seen, key=lambda rw: rw[0])
+    assert lw.residual == best < seen[-1][0]
+    assert lw.gamma == lewis_module._claimed_gamma(best, p)
+    np.testing.assert_array_equal(lw.w, w)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])

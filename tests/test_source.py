@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,3 +15,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+def test_import_loads_no_scipy():
+    # Any scipy module on the import path (scipy.special alone takes about
+    # 0.5 s) would be paid by every process that imports the package.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "\n".join([
+        "import sys, lewisreg",
+        "sys.exit(3 if any(m.split('.')[0] == 'scipy' for m in sys.modules) else 0)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
