@@ -13,17 +13,21 @@ step is the plain one. Each iterate is rescaled to sum d. That is exact:
 tau(c w) = tau(w), and leverage scores sum to d, so the fixed point does too.
 The plain iteration contracts the scale only at rate 1 - p/2, and the mixing
 removes the slow modes of the shape, such as those of a dominant row.
-Each leverage evaluation is one kernel on two d x m buffers: B, the nonzero
-rows of A as columns, and one work buffer X = B diag(v), v = w^(1/2-1/p).
-Any M with M^T X X^T M = I gives tau = v^2 * colsum((M^T B)^2), so every
-score comes from its own row and keeps its relative accuracy however small it
-is. M = D L^(-T) from one Cholesky factor L of the equilibrated Gram matrix
+Each leverage evaluation is one kernel on one d x m copy B, the nonzero rows
+of A as columns, and one d x block work buffer, in two passes over column
+blocks of B: the first sums the Gram matrix X X^T of X = B diag(v),
+v = w^(1/2-1/p), and the second writes M^T B one block at a time. Any M
+with M^T X X^T M = I gives tau = v^2 * colsum((M^T B)^2), so every score
+comes from its own row and keeps its relative accuracy however small it is.
+M = D L^(-T) from one Cholesky factor L of the equilibrated Gram matrix
 D X X^T D, D = diag(X X^T)^(-1/2), while its condition number suits the
 tolerance; otherwise M = R^(-1) from the triangular factor R of a QR of X^T,
-whose Q is never formed. The iteration decides rank there and only there:
-an iterate that has lost rank fails the condition bound, and the package's
-one rank rule, `matrix_rank_cutoff`, runs on R, which has X's singular
-values. The importance weights apply the same rule to A once per call.
+whose Q is never formed; past one block, R comes from a QR of the blocks'
+stacked triangular factors, which has the same R up to row signs (TSQR).
+The iteration decides rank there and only there: an iterate that has lost
+rank fails the condition bound, and the package's one rank rule,
+`matrix_rank_cutoff`, runs on R, which has X's singular values. The
+importance weights apply the same rule to A once per call.
 The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
 p < 2. It equals 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression
@@ -48,6 +52,12 @@ from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 # stops unconverged: rounding keeps it near eps * cond(X), where it only wanders.
 # A converging residual misses a new minimum at most twice in a row.
 _STALL_ITERATIONS = 10
+
+# Columns of B per block of the leverage kernel and of B's copy: a d x block
+# buffer stays in cache between a block's multiply and its product. Chosen by
+# timing 1024 to 65536 on a 200 000 x 10 matrix, where 4096 and 8192 were
+# fastest.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,21 +96,18 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
         raise ValueError(f"p must be in [1, 2], got {p}")
     A = as_matrix(A)
     n, d = A.shape
-    # Not a norm test: squared entries below ~1e-154 underflow to zero.
-    nz = np.any(A != 0.0, axis=1)
-    # The nonzero rows as the columns of one contiguous d x m copy, B. Every
-    # pass of the kernel then runs along rows of length m.
-    B = A.T.copy() if nz.all() else A.T.compress(nz, axis=1)
+    B, nz = _nonzero_rows_transposed(A)
     m = B.shape[1]
     if m < d:
         raise DegenerateMatrixError(f"{m} nonzero rows cannot have rank {d}")
-    # The kernel's one work buffer. Fresh d x m arrays each iteration cost
-    # page faults whenever the allocator hands their memory back to the system.
-    X = np.empty_like(B)
+    # The kernel's one work buffer, d x block. Its size does not grow with m.
+    X = np.empty((d, min(m, _BLOCK)))
     # Leverage scores do not change under column scaling, and a power of two
     # is exact. Columns of max-abs in [0.5, 1) keep X X^T clear of underflow
     # and overflow, so a matrix scaled by 1e+-170 stays on the Gram path.
-    np.ldexp(B, -np.frexp(np.abs(B, out=X).max(axis=1))[1][:, None], out=B)
+    # max(max, -min) is the max-abs, read without an |B| pass.
+    scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))[1]
+    np.ldexp(B, -scale[:, None], out=B)
     x = np.full(m, math.log(d / m))
     # The mixing history: the last `held` differences of f and of g = x + f,
     # oldest first, and f and g of the previous iterate.
@@ -163,22 +170,56 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     )
 
 
+def _nonzero_rows_transposed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B, the nonzero rows of A as the columns of a d x m array, and their mask.
+
+    A is copied in blocks of `_BLOCK` rows into one d x n allocation, each
+    block transposed and compressed to its nonzero rows in turn. With zero
+    rows, B is a compact copy of the first m columns, so the d x n
+    allocation is not held past the call. Every pass of the kernel then runs
+    along rows of B.
+    """
+    n, d = A.shape
+    B = np.empty((d, n))
+    nz = np.empty(n, dtype=bool)
+    m = 0
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        Bb = B[:, m:m + stop - start]
+        np.copyto(Bb, A[start:stop].T)
+        # Not a norm test: squared entries below ~1e-154 underflow to zero.
+        keep = np.any(Bb, axis=0, out=nz[start:stop])
+        k = int(np.count_nonzero(keep))
+        if k < keep.size:
+            B[:, m:m + k] = Bb[:, keep]
+        m += k
+    return (B if m == n else B[:, :m].copy()), nz
+
+
 def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
                      X: np.ndarray) -> np.ndarray:
-    """Leverage scores of the columns of X = B diag(v), v = exp((1/2 - 1/p) x).
+    """Leverage scores of the columns of B diag(v), v = exp((1/2 - 1/p) x).
 
-    X is a work buffer shaped like B. It is overwritten, last with M^T B for
-    an M with M^T X X^T M = I, so that tau = v^2 * colsum(X^2). M = D L^(-T)
-    from the equilibrated Gram matrix while eps * cond(D X X^T D) stays a
+    Two passes over blocks of `_BLOCK` columns, each through the d x block
+    work buffer X. The first forms X_b = B_b diag(v_b) and sums the Gram
+    matrix G = sum_b X_b X_b^T. The second writes M^T B_b, for an M with
+    M^T G M = I, so that tau_b = v_b^2 * colsum((M^T B_b)^2). M = D L^(-T)
+    from the equilibrated Gram matrix while eps * cond(D G D) stays a
     hundredth of `tol`, so a residual it reports below `tol` is one a QR
-    would report too; otherwise M = R^(-1) from `_qr_inverse`.
+    would report too; otherwise M = R^(-1) from `_qr_inverse` of X within
+    one block, or of the blocks' stacked triangular factors beyond.
     """
+    d, m = B.shape
+    blocks = [(start, min(start + _BLOCK, m)) for start in range(0, m, _BLOCK)]
     # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
     # factorization rejects, or a non-finite tau, which the caller rejects.
     with np.errstate(all="ignore"):
         v = np.exp((0.5 - 1.0 / p) * x)
-        np.multiply(B, v, out=X)
-        G = X @ X.T
+        G = np.zeros((d, d))
+        for start, stop in blocks:
+            Xb = X[:, :stop - start]
+            np.multiply(B[:, start:stop], v[start:stop], out=Xb)
+            G += Xb @ Xb.T
         D = 1.0 / np.sqrt(np.diag(G))
         Gs = D[:, None] * G * D
     try:
@@ -187,13 +228,34 @@ def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
     except np.linalg.LinAlgError:
         accurate = False
     # M^T = L^(-1) D, so that M = D L^(-T).
-    Mt = np.linalg.inv(L) * D if accurate else _qr_inverse(X)
-    np.matmul(Mt, B, out=X)
-    tau = np.einsum("ij,ij->j", X, X)
+    # With one block, X already holds B diag(v) from the first pass.
+    Mt = (np.linalg.inv(L) * D if accurate
+          else _qr_inverse(X if len(blocks) == 1 else _stacked_r(B, v, X, blocks)))
+    tau = np.empty(m)
+    for start, stop in blocks:
+        Xb = X[:, :stop - start]
+        np.matmul(Mt, B[:, start:stop], out=Xb)
+        np.einsum("ij,ij->j", Xb, Xb, out=tau[start:stop])
     with np.errstate(over="ignore"):
         v *= v
     tau *= v
     return tau
+
+
+def _stacked_r(B: np.ndarray, v: np.ndarray, X: np.ndarray, blocks) -> np.ndarray:
+    """A d x (blocks * d) matrix S with S S^T = Y Y^T for Y = B diag(v).
+
+    S = [R_1^T R_2^T ...] from the triangular factor R_b of a QR of each
+    block's Y_b^T, formed in the work buffer X (the first level of TSQR), so
+    the QR of S^T has the triangular factor of Y^T.
+    """
+    factors = []
+    with np.errstate(all="ignore"):
+        for start, stop in blocks:
+            Xb = X[:, :stop - start]
+            np.multiply(B[:, start:stop], v[start:stop], out=Xb)
+            factors.append(np.linalg.qr(Xb.T, mode="r").T)
+    return np.hstack(factors)
 
 
 def _qr_inverse(X: np.ndarray) -> np.ndarray:

@@ -178,7 +178,7 @@ def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
     small = (rates > 0) & (rates < POISSON_INVERSION_CUTOFF)
     if small.any():
         idx = np.nonzero(small)[0]
-        u = uniform_array(seed, idx.astype(np.uint64), np.zeros(idx.size, dtype=np.uint64))
+        u = uniform_array(seed, idx, 0)
         k[idx] = _poisson_inversion_array(rates[idx], u)
     for i in np.nonzero(rates >= POISSON_INVERSION_CUTOFF)[0]:
         k[i] = _poisson_ptrs(float(rates[i]), ScalarStream(seed, int(i)))

@@ -166,8 +166,7 @@ def realize(plan: SamplePlan, seed: int) -> Sketch:
     """Draw the sparse reweighting s for the plan; row i uses stream i of `seed`."""
     if plan.scheme == BERNOULLI_L1:
         probs = plan.params
-        u = rng.uniform_array(seed, np.arange(plan.n, dtype=np.uint64),
-                              np.zeros(plan.n, dtype=np.uint64))
+        u = rng.uniform_array(seed, np.arange(plan.n, dtype=np.uint64), 0)
         keep = u < probs  # probs == 1 rows always pass since u < 1
         idx = np.nonzero(keep)[0]
         weights = 1.0 / probs[idx]

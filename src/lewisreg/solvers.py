@@ -13,6 +13,7 @@ The Lp loop stops on that gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,13 +297,14 @@ def _line_search(r, dr, s, p, slope0) -> float:
     x = r + t dr, is nondecreasing; the caller passes g(0). If g(1) <= 0 the
     full step is taken, and if g(0) >= 0 no step. Otherwise Illinois regula
     falsi (Dowell & Jarratt, BIT 1971) shrinks a bracket with g(lo) <= 0 <
-    g(hi): each point is the secant root, or the midpoint when rounding puts
-    that outside (lo, hi), and when the same end moves twice running the
-    other end's g is halved. It stops at g = 0, when hi - lo <= eps hi (the
-    bracket is within about two ulps, as fine as bisection to rounding
-    gets), or after 60 evaluations past g(1), as many as that bisection
-    took. It returns lo, whose slope is <= 0, so the loss at t is at most
-    the loss at 0.
+    g(hi): each point is the secant root, moved at least one ulp inside
+    (lo, hi) when rounding puts it on or past an end, or the midpoint when
+    the slope has no secant root (infinite at both ends), and when the same
+    end moves twice running the other end's g is halved. It stops at g = 0,
+    when hi - lo <= eps hi (the bracket is within about two ulps, as fine as
+    bisection to rounding gets), or after 60 evaluations past g(1). It
+    returns lo, whose slope is <= 0, so the loss at t is at most the loss
+    at 0.
     """
     def slope(t):
         x = r + t * dr
@@ -318,8 +320,10 @@ def _line_search(r, dr, s, p, slope0) -> float:
         if hi - lo <= _EPS * hi:
             break
         t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-        if not lo < t < hi:
+        if math.isnan(t):
             t = 0.5 * (lo + hi)
+        else:
+            t = min(max(t, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         g = slope(t)
         if g <= 0.0:
             lo, g_lo = t, g

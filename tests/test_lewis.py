@@ -18,6 +18,10 @@ from lewisreg import (
 )
 
 ALL_P = (1.0, 1.25, 1.5, 2.0)
+# Rows of A per block of the leverage kernel; TALL spans three full blocks
+# and a partial one.
+BLOCK = lewis_module._BLOCK
+TALL = 3 * BLOCK + 17
 
 
 def hypercube_rows():
@@ -76,11 +80,17 @@ def test_scaling_invariance():
 
 
 def test_zero_rows_get_zero_weight():
-    A = np.vstack([np.zeros((2, 3)), np.random.default_rng(5).standard_normal((20, 3))])
-    lw = lewis_weights(A, 1.0)
-    assert np.all(lw.w[:2] == 0.0)
-    assert np.all(lw.w[2:] > 0.0)
-    assert lw.total == pytest.approx(3.0, abs=1e-6)
+    # The second case puts zero rows on both sides of the first block boundary.
+    for n, zero in ((22, [0, 1]), (2 * BLOCK + 9, [BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 3])):
+        A = np.random.default_rng(5).standard_normal((n - len(zero), 3))
+        A = np.insert(A, np.subtract(zero, np.arange(len(zero))), 0.0, axis=0)
+        nonzero = np.any(A, axis=1)
+        assert np.flatnonzero(~nonzero).tolist() == zero
+        lw = lewis_weights(A, 1.0)
+        assert np.all(lw.w[~nonzero] == 0.0)
+        assert np.all(lw.w[nonzero] > 0.0)
+        assert lw.total == pytest.approx(3.0, abs=1e-6)
+        np.testing.assert_allclose(lw.w[nonzero], lewis_weights(A[nonzero], 1.0).w, rtol=1e-12)
 
 
 def test_nonconvergence_reported_not_raised():
@@ -160,8 +170,8 @@ def test_gram_path_matches_svd_reference(monkeypatch):
 
     monkeypatch.setattr(lewis, "_qr_inverse", no_fallback)
     # Column scales up to 1e8: the equilibrated Gram matrix stays well conditioned.
-    A = np.random.default_rng(21).standard_normal((3000, 6)) * np.logspace(0, 8, 6)
-    for p in (1.0, 1.5):
+    for n, p in ((3000, 1.0), (3000, 1.5), (TALL, 1.0), (TALL, 1.5)):
+        A = np.random.default_rng(21).standard_normal((n, 6)) * np.logspace(0, 8, 6)
         lw = lewis_weights(A, p)
         assert lw.converged
         # max_iter=1 and 2 return iterates 0 and 1, which precede any mixing.
@@ -255,6 +265,23 @@ def test_peak_memory_within_three_buffer_kernel():
     assert peak <= 13_652_227
 
 
+def test_peak_memory_within_blocked_kernel():
+    # B, the one n x d copy, a dozen n-vectors (iterate, scores, mixing
+    # history) and room for two d x block buffers: 9.46 MB here, which a
+    # second n x d buffer would overrun.
+    import tracemalloc
+
+    n, d = 50_000, 10
+    A = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        lewis_weights(A, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * d + 12 * 8 * n + 2 * 8 * d * BLOCK
+
+
 def test_extreme_matrix_scale_stays_on_gram_path(monkeypatch):
     from lewisreg import lewis
 
@@ -266,23 +293,32 @@ def test_extreme_matrix_scale_stays_on_gram_path(monkeypatch):
         return qr(X)
 
     monkeypatch.setattr(lewis, "_qr_inverse", counting_qr)
-    A = np.random.default_rng(23).standard_normal((2000, 6))
-    base = lewis_weights(A, 1.0)
     # Unscaled, X^T X underflows at 1e-170 and overflows at 1e170.
-    for c in (1e-170, 1e170):
-        lw = lewis_weights(c * A, 1.0)
-        assert lw.iterations == base.iterations
-        np.testing.assert_allclose(lw.w, base.w, rtol=1e-12)
+    for n in (2000, TALL):
+        A = np.random.default_rng(23).standard_normal((n, 6))
+        base = lewis_weights(A, 1.0)
+        for c in (1e-170, 1e170):
+            lw = lewis_weights(c * A, 1.0)
+            assert lw.iterations == base.iterations
+            np.testing.assert_allclose(lw.w, base.w, rtol=1e-12)
     assert calls == []
 
 
-def test_heavy_row_residual_holds_under_svd():
+def test_heavy_row_residual_holds_under_svd(monkeypatch):
     # A coherent heavy row makes the Gram matrix ill-conditioned; a residual
-    # claimed from Cholesky leverage scores there is off by ~100x.
-    A = gen_random(2000, 5, heavy_row_scale=1e6, seed=1).instance.A
-    lw = lewis_weights(A, 1.5)
-    assert lw.converged and lw.residual <= 1e-8
-    assert _svd_residual(A, lw.w, 1.5) <= 1e-7
+    # claimed from Cholesky leverage scores there is off by ~100x. The QR
+    # fallback factors X^T itself within one block, and the stack of the
+    # blocks' triangular factors, d columns per block, beyond.
+    calls = []
+    qr = lewis_module._qr_inverse
+    monkeypatch.setattr(lewis_module, "_qr_inverse", lambda X: calls.append(X.shape) or qr(X))
+    for n, shape in ((2000, (5, 2000)), (TALL, (5, 5 * 4))):
+        calls.clear()
+        A = gen_random(n, 5, heavy_row_scale=1e6, seed=1).instance.A
+        lw = lewis_weights(A, 1.5)
+        assert lw.converged and lw.residual <= 1e-8
+        assert _svd_residual(A, lw.w, 1.5) <= 1e-7
+        assert calls and set(calls) == {shape}
 
 
 def test_near_collinear_columns_converge():
@@ -320,11 +356,13 @@ def test_collinear_columns_raise_at_first_qr(monkeypatch, p, gap):
     calls = []
     qr = lewis_module._qr_inverse
     monkeypatch.setattr(lewis_module, "_qr_inverse", lambda X: calls.append(1) or qr(X))
-    A = np.random.default_rng(0).standard_normal((2000, 5))
-    A[:, 1] = A[:, 0] + gap * A[:, 1]
-    with pytest.raises(DegenerateMatrixError, match="rank"):
-        lewis_weights(A, p)
-    assert len(calls) <= 1
+    for n in (2000, TALL):
+        calls.clear()
+        A = np.random.default_rng(0).standard_normal((n, 5))
+        A[:, 1] = A[:, 0] + gap * A[:, 1]
+        with pytest.raises(DegenerateMatrixError, match="rank"):
+            lewis_weights(A, p)
+        assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])

@@ -203,6 +203,22 @@ def test_realize_golden_hashes():
         assert h.hexdigest() == GOLDEN_REALIZE[name], name
 
 
+def test_bernoulli_realize_peak_memory():
+    # The counter is the scalar 0, not an n-vector of zeros: the hashing's
+    # temporaries peak at five n-vectors of 8 bytes, six with the zeros.
+    import tracemalloc
+
+    n = 200_000
+    plan = plan_l1(np.full(n, 10.0 / n), u_override=0.01)
+    tracemalloc.start()
+    try:
+        realize(plan, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * n
+
+
 def test_sketch_indices_sorted_unique_positive_weights():
     w = np.random.default_rng(6).uniform(0.0, 0.3, 200)
     w[::7] = 0.0
