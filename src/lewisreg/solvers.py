@@ -1,14 +1,19 @@
 """Weighted L1/Lp regression solvers with duality-gap certificates.
 
 L1 is a linear program, solved exactly by a Barrodale-Roberts simplex walk
-from the weighted least-squares point. For p in (1, 2], damped Newton from
-the same point; p = 2 needs no step. A Newton step is taken whole when the
-loss still falls at its end, and otherwise cut by an Illinois regula falsi
-on the loss's slope, at most 60 evaluations, to a length whose slope is
-<= 0, so no step raises the loss. Each solve is certified by weak duality:
-`SolveResult.gap` is the relative gap between the objective and a dual lower
-bound, and the status is `converged` exactly when the gap is at most `tol`.
-The Lp loop stops on that gap.
+from the weighted least-squares point. Each line search stops at a weighted
+median of its breakpoints, ordered by numpy's default sort, or by the
+stable sort when two breakpoints tie: either way the order is the stable
+one. At a degenerate vertex the walk keeps its largest-violation pivots and
+turns to Bland's rule only after `_STALL_PIVOTS` pivots in a row have not
+moved. For p in (1, 2], damped Newton from the same point; p = 2 needs no
+step. A Newton step is taken whole when the loss still falls at its end,
+and otherwise cut by an Illinois regula falsi on the loss's slope, at most
+60 evaluations, to a length whose slope is <= 0, so no step raises the
+loss. Each solve is certified by weak duality: `SolveResult.gap` is the
+relative gap between the objective and a dual lower bound, and the status
+is `converged` exactly when the gap is at most `tol`. The Lp loop stops on
+that gap.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ _EPS = np.finfo(float).eps
 _ROUNDING = 16 * _EPS
 # Breakpoints `_first_reaching` orders before it falls back to a full sort.
 _HEAD = 32
+# Consecutive zero-length pivots after which the walk turns to Bland's rule.
+_STALL_PIVOTS = 30
 
 
 @dataclass(frozen=True)
@@ -60,27 +67,43 @@ def weighted_median(values, weights) -> float:
     total = float(np.sum(w))
     if total <= 0:
         raise ValueError("total weight must be positive")
-    order, k = _first_reaching(v, w, 0.5 * total)
+    order, k = _first_reaching(v, w, 0.5 * total, head=False)
     return float(v[order[k]])
 
 
-def _first_reaching(t, w, level):
+def _sort(t):
+    """Stable sort order of t.
+
+    Distinct values have one sorted order, so numpy's default sort gives the
+    stable one at a fraction of its cost. Sorted values that do not strictly
+    increase (a tie, -0.0 beside 0.0) are sorted again stably.
+    """
+    order = np.argsort(t)
+    ts = t[order]
+    if not np.all(ts[1:] > ts[:-1]):
+        order = np.argsort(t, kind="stable")
+    return order
+
+
+def _first_reaching(t, w, level, head=True):
     """Stable sort order of t, through the first position where the cumulative weight reaches level.
 
-    Walk pivots stop within the first few breakpoints, so the rows with t at
-    most the _HEAD-th smallest value, ties included, are tried first. Sorted
-    stably they are a prefix of the full stable order, and their cumsum a
-    prefix of its cumsum, so the position is the one the full sort gives.
-    The full sort runs only when that prefix falls short of level, as it
-    does for the walk's phase-1 medians.
+    Walk pivots stop within the first few breakpoints, so with `head` the
+    rows with t at most the _HEAD-th smallest value, ties included, are
+    tried first. Sorted stably they are a prefix of the full stable order,
+    and their cumsum a prefix of its cumsum, so the position is the one the
+    full sort gives. The full sort runs only when that prefix falls short
+    of level. Weighted medians pass head=False: the head reaches half the
+    weight only on inputs small enough that the full sort is cheap anyway.
+    Both sorts are `_sort`'s, stable in effect whether or not t ties.
     """
-    if t.size > _HEAD:
-        head = np.flatnonzero(t <= np.partition(t, _HEAD - 1)[_HEAD - 1])
-        order = head[np.argsort(t[head], kind="stable")]
+    if head and t.size > _HEAD:
+        top = np.flatnonzero(t <= np.partition(t, _HEAD - 1)[_HEAD - 1])
+        order = top[_sort(t[top])]
         cum = np.cumsum(w[order])
         if cum[-1] >= level:
             return order, int(np.searchsorted(cum, level))
-    order = np.argsort(t, kind="stable")
+    order = _sort(t)
     cum = np.cumsum(w[order])
     return order, min(int(np.searchsorted(cum, level)), t.size - 1)
 
@@ -183,29 +206,44 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
     came from (the LP's basic u_i or v_i). At basis B, lam solves A_B^T (s_B lam)
     = -sum_{i not in B} s_i sigma_i a_i, and releasing row k along a_k^T eta =
     tau changes the loss at rate s_k (1 - tau lam_k). Pivots release the largest
-    |lam_k| > 1, or after a zero-length step use Bland's rule over LP indices
-    (u_i -> i, v_i -> n + i). Runs on Q of the given A = QR, whose bases are
-    only as ill-conditioned as their rows. Returns A_B^-1 y_B, the line
-    searches, and z / s (sigma off B, lam on it), or None for an exact fit.
+    |lam_k| > 1 and step to the breakpoint where the loss stops falling. After
+    `_STALL_PIVOTS` zero-length steps in a row they use Bland's rule over LP
+    indices (u_i -> i, v_i -> n + i), for the row released and the row
+    entering, until a step moves. The walk terminates: a step that moves
+    lowers the objective strictly, so a cycle of bases has zero-length steps
+    only, and after `_STALL_PIVOTS` of them Bland's rule runs, which does
+    not cycle. Line searches order breakpoints by `_first_reaching`, so each
+    picks the row a full stable sort picks. Runs on Q of the given A = QR,
+    whose bases are only as ill-conditioned as their rows. Returns A_B^-1
+    y_B, the line searches, and z / s (sigma off B, lam on it), or None for
+    an exact fit.
     """
     n, d = A.shape
     row_norms = np.abs(Q).sum(axis=1)
+    abs_y = np.abs(y)
+    buf = np.empty(n)       # rounding thresholds, then signs
     sigma, basis = np.ones(n), []
 
     def residuals(x, cond):
         r = Q @ x - y
         if trace is not None:
             trace.append(float(np.sum(s * np.abs(r))))
-        r[np.abs(r) <= _ROUNDING * cond * (row_norms * np.max(np.abs(x)) + np.abs(y))] = 0.0
+        np.multiply(row_norms, np.max(np.abs(x)), out=buf)
+        np.add(buf, abs_y, out=buf)
+        np.multiply(buf, _ROUNDING * cond, out=buf)
+        r[np.abs(r) <= buf] = 0.0
         r[basis] = 0.0
-        sigma[:] = np.where(r > 0, 1.0, np.where(r < 0, -1.0, sigma))
+        np.sign(r, out=buf)
+        np.copyto(sigma, buf, where=r != 0.0)
         sigma[basis] = 0.0
         return r
 
     def edge(eta, cond):
         c = Q @ eta
         c[basis] = 0.0
-        return c, np.abs(c) > _ROUNDING * cond * row_norms * np.max(np.abs(eta))
+        np.multiply(row_norms, _ROUNDING * cond, out=buf)
+        np.multiply(buf, np.max(np.abs(eta)), out=buf)
+        return c, np.abs(c) > buf
 
     # d line searches, each in the null space of the rows fitted so far, reach a vertex
     x = R @ beta
@@ -217,13 +255,14 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
         c, live = edge(eta, 1.0)
         rows = np.flatnonzero(live)
         t, w = -r[rows] / c[rows], s[rows] * np.abs(c[rows])
-        order, m = _first_reaching(t, w, 0.5 * np.sum(w))
+        order, m = _first_reaching(t, w, 0.5 * np.sum(w), head=False)
         x = x + t[order[m]] * eta
         basis.append(int(rows[order[m]]))
         r = residuals(x, 1.0)
 
-    bland, moved, cap = False, True, 10 * (n + d)
+    stalled, moved, cap = 0, True, 10 * (n + d)
     for pivots in range(cap + 1):
+        bland = stalled >= _STALL_PIVOTS
         QB = Q[basis]
         cond = np.linalg.cond(QB)
         if moved:
@@ -253,7 +292,7 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
             sigma[rows[order[:m]]] *= -1.0                  # rows passed on the way
         sigma[basis[k]], sigma[j] = tau, 0.0
         basis[k] = j
-        bland = not moved
+        stalled = 0 if moved else stalled + 1
     zhat = sigma.copy()
     zhat[basis] = lam
     return np.linalg.solve(A[basis], y[basis]), d + pivots, zhat

@@ -13,6 +13,7 @@ from lewisreg import (
     weighted_lp_loss,
     weighted_median,
 )
+from lewisreg.instances import per_block_solve
 from lewisreg.solvers import _first_reaching, _line_search
 
 
@@ -79,15 +80,25 @@ def test_weighted_median_tie_break_lowest():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_first_reaching_matches_full_sort(seed):
-    # Breakpoints with few distinct values and signed zeros, weights with
-    # zeros, and levels from 0 to past the total, some hit exactly: the
-    # position and the order through it are those of a full stable sort,
-    # whether the prefix reaches the level or the full sort runs.
+    # Breakpoints with few distinct values and signed zeros, distinct
+    # continuous breakpoints (the default sort with no stable fallback), and
+    # distinct breakpoints but for a 0.0 and a -0.0; weights with zeros, and
+    # levels from 0 to past the total, some hit exactly: with and without the
+    # head, the position and the order through it are those of a full stable
+    # sort, whether the prefix reaches the level or the full sort runs.
     r = np.random.default_rng(seed)
     prefixes = 0
-    for n in (1, 31, 32, 33, 200, 3000):
-        t = r.integers(-2, 3, n) * r.choice([0.5, 1.0], n)
-        t[t == 0] *= r.choice([-1.0, 1.0], int(np.sum(t == 0)))
+    cases = [(n, "ties") for n in (1, 31, 32, 33, 200, 3000)]
+    cases += [(n, kind) for n in (33, 200, 3000) for kind in ("distinct", "signed-zero")]
+    for n, kind in cases:
+        if kind == "ties":
+            t = r.integers(-2, 3, n) * r.choice([0.5, 1.0], n)
+            t[t == 0] *= r.choice([-1.0, 1.0], int(np.sum(t == 0)))
+        else:
+            t = r.standard_normal(n)
+            if kind == "signed-zero":
+                i, j = np.sort(r.choice(n, 2, replace=False))
+                t[i], t[j] = r.permutation([0.0, -0.0])
         w = r.integers(0, 3, n).astype(float)
         order = np.argsort(t, kind="stable")
         cum = np.cumsum(w[order])
@@ -95,11 +106,30 @@ def test_first_reaching_matches_full_sort(seed):
                   *cum[r.integers(0, n, 4)]]
         for level in levels:
             m = min(int(np.searchsorted(cum, level)), n - 1)
-            got, k = _first_reaching(t, w, level)
-            assert k == m
-            np.testing.assert_array_equal(got[:k + 1], order[:m + 1])
-            prefixes += got.size < n
+            for head in (True, False):
+                got, k = _first_reaching(t, w, level, head=head)
+                assert k == m
+                np.testing.assert_array_equal(got[:k + 1], order[:m + 1])
+                prefixes += got.size < n
+                assert head or got.size == n
     assert prefixes > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_median_matches_stable_sort_reference(seed):
+    # The lowest value whose stable-sorted cumulative weight reaches half the
+    # total, on distinct values, on values with ties and signed zeros, and on
+    # weights with zeros.
+    r = np.random.default_rng(seed)
+    for n in (1, 2, 33, 200, 3000):
+        for v in (r.standard_normal(n), r.integers(-3, 4, n) * r.choice([-0.0, 1.0], n)):
+            w = r.integers(0, 4, n).astype(float)
+            w[r.integers(n)] += 1.0
+            order = np.argsort(v, kind="stable")
+            cum = np.cumsum(w[order])
+            want = v[order[min(int(np.searchsorted(cum, 0.5 * cum[-1])), n - 1)]]
+            got = weighted_median(v, w)
+            assert got == want and np.signbit(got) == np.signbit(want)
 
 
 def test_l1_matches_subgradient_oracle():
@@ -383,6 +413,21 @@ def _fuzz_cases(reference, p=1.0):
                                          (1.0, 1.0, 1e100), (1e100, 1e-100, 1e-100)]):
         A, y, s = _tie_instance(400 + k)
         yield f"magnitude-{k}", c_a * A, c_y * y, c_s * s, c_s * c_y**p * reference(A, y, s)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_l1_block_instance_degenerate_optimum(seed):
+    # d blocks of repeated canonical rows with +-1 labels: phase 1 reaches the
+    # optimum, and thousands of rows tie at zero residual there. The walk
+    # certifies it in a few pivots of its own rule, not in hundreds of
+    # zero-length Bland pivots.
+    d = 8
+    lb = lewisreg.gen_lower_bound(4000, d, 0.1, seed=seed)
+    A, y = lb.instance.A, lb.instance.reveal_hidden_labels()
+    res = solve_weighted_l1(A, y)
+    assert res.status == "converged", res.gap
+    assert res.objective == weighted_lp_loss(A, y, per_block_solve(lb), np.ones(4000), 1.0)
+    assert res.iterations <= 4 * d, res.iterations
 
 
 def test_l1_fuzz_matches_highs():
