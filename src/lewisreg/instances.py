@@ -62,8 +62,8 @@ def gen_random(
         out_seed = rng.derive(seed, _NS_OUTLIER)
         out_rows = rng.choose_prefix(out_seed, n, n_outliers)
         signs = np.where(
-            rng.uniform_array(out_seed, np.arange(n, n + n_outliers, dtype=np.uint64),
-                              np.zeros(n_outliers, dtype=np.uint64)) < 0.5,
+            rng.uniform_array(out_seed, np.arange(n, n + n_outliers, dtype=np.uint64), 0)
+            < 0.5,
             -1.0, 1.0,
         )
         y[out_rows] = signs * mag
@@ -99,9 +99,7 @@ def gen_lower_bound(
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")
     block = n // d
     if b is None:
-        u = rng.uniform_array(rng.derive(seed, _NS_BETA),
-                              np.arange(d, dtype=np.uint64),
-                              np.zeros(d, dtype=np.uint64))
+        u = rng.uniform_array(rng.derive(seed, _NS_BETA), np.arange(d, dtype=np.uint64), 0)
         b = np.where(u < 0.5, -1.0, 1.0)
     else:
         b = np.asarray(b, dtype=np.float64)
@@ -109,9 +107,7 @@ def gen_lower_bound(
             raise ValueError("b must be a +-1 vector of length d")
     A = np.repeat(np.eye(d), block, axis=0)
     probs = np.repeat(0.5 + b * eps, block)
-    u = rng.uniform_array(rng.derive(seed, _NS_LABELS),
-                          np.arange(n, dtype=np.uint64),
-                          np.zeros(n, dtype=np.uint64))
+    u = rng.uniform_array(rng.derive(seed, _NS_LABELS), np.arange(n, dtype=np.uint64), 0)
     y = np.where(u < probs, 1.0, -1.0)
     return LowerBoundInstance(
         n=n, d=d, eps=eps, b=b, instance=RegressionInstance(A, y, 1.0)
@@ -139,8 +135,7 @@ def sign_recovery_experiment(
         raise ValueError(f"eps must be in (0, 0.5], got {eps}")
     coin_seed = rng.derive(seed, _NS_COIN)
     alpha = np.where(
-        rng.uniform_array(coin_seed, np.arange(trials, dtype=np.uint64),
-                          np.zeros(trials, dtype=np.uint64)) < 0.5,
+        rng.uniform_array(coin_seed, np.arange(trials, dtype=np.uint64), 0) < 0.5,
         -1.0, 1.0,
     )
     probs = 0.5 + alpha * eps
@@ -160,8 +155,7 @@ def sign_recovery_experiment(
     ties = counts == minority
     if ties.any():
         flip = rng.uniform_array(rng.derive(seed, _NS_COIN, 1),
-                                 np.arange(trials, dtype=np.uint64)[ties],
-                                 np.zeros(int(ties.sum()), dtype=np.uint64))
+                                 np.arange(trials, dtype=np.uint64)[ties], 0)
         guess[ties] = np.where(flip < 0.5, -1.0, 1.0)
     return float(np.mean(guess == alpha))
 

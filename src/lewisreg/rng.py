@@ -28,6 +28,10 @@ _U_MIX2 = np.uint64(_MIX2)
 # Poisson rates at or above this use the scalar rejection sampler.
 POISSON_INVERSION_CUTOFF = 30.0
 
+# Per-row draws over many rows hash this many rows at a time, so their
+# temporaries take one block of memory, not n.
+DRAW_BLOCK = 16384
+
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer of a 64-bit integer."""
@@ -165,21 +169,26 @@ def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
     """Poisson counts, one per rate; rate i is drawn from stream i.
 
     Rates below POISSON_INVERSION_CUTOFF use single-uniform inversion
-    (vectorized); larger rates fall back to the scalar rejection sampler.
-    Either way the draw depends only on (seed, i, rates[i]). A negative or
-    non-finite rate raises ValueError.
+    (vectorized, DRAW_BLOCK rows at a time); larger rates fall back to the
+    scalar rejection sampler. Either way the draw depends only on
+    (seed, i, rates[i]). A negative or non-finite rate raises ValueError.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("Poisson rates must be finite")
-    if np.any(rates < 0):
-        raise ValueError("negative Poisson rate")
     k = np.zeros(rates.shape, dtype=np.int64)
-    small = (rates > 0) & (rates < POISSON_INVERSION_CUTOFF)
-    if small.any():
-        idx = np.nonzero(small)[0]
-        u = uniform_array(seed, idx, 0)
-        k[idx] = _poisson_inversion_array(rates[idx], u)
-    for i in np.nonzero(rates >= POISSON_INVERSION_CUTOFF)[0]:
-        k[i] = _poisson_ptrs(float(rates[i]), ScalarStream(seed, int(i)))
+    if rates.size == 0:
+        return k
+    # min and max are NaN or infinite exactly when some rate is.
+    lo, hi = np.min(rates), np.max(rates)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("Poisson rates must be finite")
+    if lo < 0:
+        raise ValueError("negative Poisson rate")
+    for start in range(0, rates.size, DRAW_BLOCK):
+        block = rates[start:start + DRAW_BLOCK]
+        idx = np.flatnonzero((block > 0) & (block < POISSON_INVERSION_CUTOFF))
+        if idx.size:
+            u = uniform_array(seed, idx + start, 0)
+            k[idx + start] = _poisson_inversion_array(block[idx], u)
+        for i in np.flatnonzero(block >= POISSON_INVERSION_CUTOFF) + start:
+            k[i] = _poisson_ptrs(float(rates[i]), ScalarStream(seed, int(i)))
     return k

@@ -55,7 +55,7 @@ class SamplePlan:
         h = hashlib.sha256()
         h.update(self.scheme.encode())
         h.update(np.int64(self.n).tobytes())
-        h.update(np.ascontiguousarray(self.params, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(self.params, dtype="<f8"))   # no bytes copy
         return h.hexdigest()[:16]
 
 
@@ -163,12 +163,19 @@ def _check_unit_interval(**kwargs: float) -> None:
 
 
 def realize(plan: SamplePlan, seed: int) -> Sketch:
-    """Draw the sparse reweighting s for the plan; row i uses stream i of `seed`."""
+    """Draw the sparse reweighting s for the plan; row i uses stream i of `seed`.
+
+    Bernoulli and Poisson rows are drawn `rng.DRAW_BLOCK` rows at a time.
+    """
     if plan.scheme == BERNOULLI_L1:
         probs = plan.params
-        u = rng.uniform_array(seed, np.arange(plan.n, dtype=np.uint64), 0)
-        keep = u < probs  # probs == 1 rows always pass since u < 1
-        idx = np.nonzero(keep)[0]
+        kept = [np.empty(0, dtype=np.int64)]
+        for start in range(0, plan.n, rng.DRAW_BLOCK):
+            stop = min(start + rng.DRAW_BLOCK, plan.n)
+            u = rng.uniform_array(seed, np.arange(start, stop, dtype=np.uint64), 0)
+            # probs == 1 rows always pass since u < 1
+            kept.append(np.flatnonzero(u < probs[start:stop]) + start)
+        idx = np.concatenate(kept)
         weights = 1.0 / probs[idx]
     elif plan.scheme == POISSON_LP:
         counts = rng.poisson_array(seed, plan.params)

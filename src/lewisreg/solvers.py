@@ -139,7 +139,10 @@ def _solve(A, y, s, p, tol, trace) -> SolveResult:
         raise ValueError("negative sample weight")
 
     active = s > 0
-    As, ys, ss = A[active], y[active], s[active]
+    if active.all():    # the arrays A[active] would copy, without an n x d copy
+        As, ys, ss = (np.ascontiguousarray(v) for v in (A, y, s))
+    else:
+        As, ys, ss = A[active], y[active], s[active]
     beta = _weighted_lstsq(As, ys, ss)
     # R has the singular values of As (and fewer than d rows when As does),
     # so this one QR decides the rank. At p = 1 it is the walk's too.
@@ -264,7 +267,8 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
     for pivots in range(cap + 1):
         bland = stalled >= _STALL_PIVOTS
         QB = Q[basis]
-        cond = np.linalg.cond(QB)
+        sv = np.linalg.svd(QB, compute_uv=False)
+        cond = sv[0] / sv[-1]
         if moved:
             r = residuals(np.linalg.solve(QB, y[basis]), cond)
         if not np.any(r):

@@ -11,10 +11,12 @@ full-data minimizer and reading all labels is allowed here, never in the
 query-limited solve path.
 
 Every battery and ascent point lies on a line r + t A eta in residual space.
-The images A eta of a trial's directions come from one matrix product, and
-the sketched images are gathered from them. `_line_losses` sums each line's
-points along contiguous rows with ufuncs only, so no loss depends on the
-other points of a call or on the BLAS thread count.
+The images A eta are formed IMAGE_BLOCK directions at a time, the sketched
+images are gathered from each block, and a block is reduced and released
+before the next is formed, so memory does not grow with the number of
+directions. `_line_losses` sums each line's points along contiguous rows with
+ufuncs only, so no loss depends on the other points of a call, on the block
+it came in or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ from .lewis import _sup_ratio
 from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff
 from .oracle import RegressionInstance
 from .sampling import Sketch
+
+# Direction images are formed this many directions at a time. A block never
+# has fewer than _MIN_IMAGE_ROWS rows (the last absorbs a short remainder):
+# numpy sends a one-row product to gemv, which rounds differently from gemm,
+# while gemm blocks of 4 to 32 rows give the bits of one product of all rows.
+IMAGE_BLOCK = 8
+_MIN_IMAGE_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,33 @@ def _unit_directions(seed: int, count: int, d: int) -> np.ndarray:
     dirs = rng.normal_matrix(seed, count, d)
     norms = np.linalg.norm(dirs, axis=1)
     return dirs[norms > 0] / norms[norms > 0, None]
+
+
+def _image_blocks(dirs, A, rows):
+    """Yield (start, D, D_s) over consecutive blocks of the rows of `dirs`.
+
+    D = dirs[start:start + len(D)] @ A.T and D_s = D[:, rows]. The generator
+    forms a block only when it is asked for it.
+    """
+    count = dirs.shape[0]
+    start = 0
+    while start < count:
+        stop = start + IMAGE_BLOCK
+        if count - stop < _MIN_IMAGE_ROWS:
+            stop = count
+        D = dirs[start:stop] @ A.T
+        yield start, D, D.take(rows, axis=1)
+        start = stop
+
+
+def _violations(L, Lt, L_star, Lt_star):
+    """Corrected and uncorrected relative violations, zero where L is not positive."""
+    good = L > 0
+    corrected = np.zeros(L.size)
+    uncorrected = np.zeros(L.size)
+    corrected[good] = np.abs((Lt[good] - Lt_star) - (L[good] - L_star)) / L[good]
+    uncorrected[good] = np.abs(Lt[good] - L[good]) / L[good]
+    return corrected, uncorrected
 
 
 def _line_losses(r0, D, T, p, s=None) -> np.ndarray:
@@ -157,72 +193,78 @@ def ruc_check(
     r0_s = r0[rows]
     L_star = float(np.sum(np.abs(r0) ** p))
     Lt_star = float(np.sum(w_s * np.abs(r0_s) ** p))
-    dirs = _unit_directions(rng.derive(betas.seed, 0xBE), betas.directions, A.shape[1])
-    # One product for all directions: a block of it can round a row differently.
-    D = dirs @ A.T
-    energy = _line_losses(0.0, D, np.ones((D.shape[0], 1)), p)[:, 0]
-    keep = energy > 0
-    if not keep.all():
-        dirs, D, energy = dirs[keep], D[keep], energy[keep]
     radii = betas.radii if betas.radii is not None else default_radii(eps, delta)
-    base = L_star if L_star > 0 else 1.0
-    T = (np.asarray(radii) * base / energy[:, None]) ** (1.0 / p)
-    D_s = D.take(rows, axis=1)
-    # b* is battery row 0. Its losses are L_star and Lt_star themselves, so
+    scale = np.asarray(radii) * (L_star if L_star > 0 else 1.0)
+    # b* is battery point 0. Its losses are L_star and Lt_star themselves, so
     # the violation at b* vanishes identically rather than to rounding.
-    L = np.concatenate(([L_star], _line_losses(r0, D, T, p).ravel()))
-    Lt = np.concatenate(([Lt_star], _line_losses(r0_s, D_s, T, p, w_s).ravel()))
-    good = L > 0
-    corrected = np.zeros(L.size)
-    uncorrected = np.zeros(L.size)
-    corrected[good] = np.abs((Lt[good] - Lt_star) - (L[good] - L_star)) / L[good]
-    uncorrected[good] = np.abs(Lt[good] - L[good]) / L[good]
-
-    worst = int(np.argmax(corrected))
+    corrected, uncorrected = _violations(np.array([L_star]), np.array([Lt_star]),
+                                         L_star, Lt_star)
+    at_star = best = corrected[0]
+    top_uncorrected = uncorrected[0]
+    evaluated = 1
     x0, r, r_s = beta_star, r0, r0_s
-    if worst > 0:
-        k, j = divmod(worst - 1, T.shape[1])
-        t = T[k, j]
-        x0, r, r_s = beta_star + t * dirs[k], t * D[k] + r0, t * D_s[k] + r0_s
-    del D, D_s
+    dirs = _unit_directions(rng.derive(betas.seed, 0xBE), betas.directions, A.shape[1])
+    for start, D, D_s in _image_blocks(dirs, A, rows):
+        energy = _line_losses(0.0, D, np.ones((D.shape[0], 1)), p)[:, 0]
+        kept = np.flatnonzero(energy > 0)
+        if kept.size == 0:
+            continue
+        if kept.size < energy.size:
+            D, D_s, energy = D[kept], D_s[kept], energy[kept]
+        T = (scale / energy[:, None]) ** (1.0 / p)
+        L = _line_losses(r0, D, T, p).ravel()
+        corrected, uncorrected = _violations(L, _line_losses(r0_s, D_s, T, p, w_s).ravel(),
+                                             L_star, Lt_star)
+        evaluated += L.size
+        top_uncorrected = np.maximum(top_uncorrected, np.max(uncorrected))
+        # The first worst point of the whole battery, NaN first as np.argmax takes it.
+        i = int(np.argmax(corrected))
+        if corrected[i] > best or (np.isnan(corrected[i]) and not np.isnan(best)):
+            best = corrected[i]
+            k, j = divmod(i, T.shape[1])
+            t = T[k, j]
+            x0 = beta_star + t * dirs[start + kept[k]]
+            r, r_s = t * D[k] + r0, t * D_s[k] + r0_s
+    D = D_s = None   # release the last block before the climb forms its own
     dirs = _unit_directions(rng.derive(betas.seed, 0xAC), betas.ascent_rounds, A.shape[1])
-    D = dirs @ A.T
-    refined = _ruc_climb(r, D, r_s, D.take(rows, axis=1), w_s, p, L_star, Lt_star,
-                         float(corrected[worst]), 0.5 * max(np.linalg.norm(x0), 1.0))
+    refined = _ruc_climb(r, r_s, _image_blocks(dirs, A, rows), w_s, p, L_star, Lt_star,
+                         float(best), 0.5 * max(np.linalg.norm(x0), 1.0))
     return RucTrial(
         delta_value=L_star - Lt_star,
-        max_rel_violation=max(float(np.max(corrected)), refined),
-        max_uncorrected=float(np.max(uncorrected)),
-        violation_at_star=float(corrected[0]),
-        betas_evaluated=L.size,
+        max_rel_violation=max(float(best), refined),
+        max_uncorrected=float(top_uncorrected),
+        violation_at_star=float(at_star),
+        betas_evaluated=evaluated,
     )
 
 
-def _ruc_climb(r, D, r_s, D_s, w_s, p, L_star, Lt_star, best, step) -> float:
-    """Greedy hill climb of the corrected violation along the rows of D and D_s.
+def _ruc_climb(r, r_s, blocks, w_s, p, L_star, Lt_star, best, step) -> float:
+    """Greedy hill climb of the corrected violation along the unit directions' images.
 
     r and r_s are the full and sketched residuals at the start, `best` their
-    violation, and D and D_s the images of the unit directions under A and
-    A_s. Each round tries +step then -step along one direction, keeps the
-    first improvement, and otherwise shrinks the step by 0.7, stopping once
-    it falls below 1e-12.
+    violation, and `blocks` yields the images D and D_s of consecutive blocks
+    of directions under A and A_s (see `_image_blocks`), so a block is formed
+    only once the climb reaches it. Each round tries +step then -step along
+    one direction, keeps the first improvement, and otherwise shrinks the step
+    by 0.7, stopping once it falls below 1e-12.
     """
-    for k in range(D.shape[0]):
-        for c in (step, -step):
-            T = np.full((1, 1), c)
-            Lb = float(_line_losses(r, D[k:k + 1], T, p)[0, 0])
-            if Lb <= 0:
-                continue
-            Ltb = float(_line_losses(r_s, D_s[k:k + 1], T, p, w_s)[0, 0])
-            val = abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
-            if val > best:
-                # The same sums `_line_losses` formed, so val stays exact.
-                best, r, r_s = val, c * D[k] + r, c * D_s[k] + r_s
-                break
-        else:
-            step *= 0.7
-            if step < 1e-12:
-                break
+    for _, D, D_s in blocks:
+        for k in range(D.shape[0]):
+            for c in (step, -step):
+                T = np.full((1, 1), c)
+                Lb = float(_line_losses(r, D[k:k + 1], T, p)[0, 0])
+                if Lb <= 0:
+                    continue
+                Ltb = float(_line_losses(r_s, D_s[k:k + 1], T, p, w_s)[0, 0])
+                val = abs((Ltb - Lt_star) - (Lb - L_star)) / Lb
+                if val > best:
+                    # The same sums `_line_losses` formed, so val stays exact.
+                    best, r, r_s = val, c * D[k] + r, c * D_s[k] + r_s
+                    break
+            else:
+                step *= 0.7
+                if step < 1e-12:
+                    return float(best)
     return float(best)
 
 
@@ -231,17 +273,20 @@ def embedding_check(
 ) -> EmbedReport:
     """max over sampled unit beta of | ||SA beta||_p^p / ||A beta||_p^p - 1 |.
 
-    The images A beta come from one product, the sketched ones are gathered
-    from it, and both are reduced in place as `_line_losses` reduces a line.
+    The images A beta are formed in blocks of IMAGE_BLOCK directions, the
+    sketched ones are gathered from each block, and both are reduced in place
+    as `_line_losses` reduces a line before the next block is formed.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
     _check_unit_interval("eps", eps)
     A = as_matrix(A)
     dirs = _unit_directions(rng.derive(seed, 0xE3), directions, A.shape[1])
-    D = dirs @ A.T
-    sk = _row_losses(D.take(sketch.indices, axis=1), p, sketch.weights)
-    full = _row_losses(D, p)
+    sk = np.empty(dirs.shape[0])
+    full = np.empty(dirs.shape[0])
+    for start, D, D_s in _image_blocks(dirs, A, sketch.indices):
+        sk[start:start + D.shape[0]] = _row_losses(D_s, p, sketch.weights)
+        full[start:start + D.shape[0]] = _row_losses(D, p)
     good = full > 0
     dev = float(np.max(np.abs(sk[good] / full[good] - 1.0))) if good.any() else 0.0
     return EmbedReport(p=p, directions=int(good.sum()), max_ratio_dev=dev,
@@ -329,16 +374,13 @@ def taylor_remainder_ratio(t, p: float):
 def taylor_claim_check(p: float, samples: int = 10**6, seed: int = 0) -> TaylorReport:
     """Empirical sup of the remainder ratio over ratios b/a spanning all regimes."""
     half = samples // 2
-    u = rng.uniform_array(rng.derive(seed, 0x7A),
-                          np.arange(samples, dtype=np.uint64),
-                          np.zeros(samples, dtype=np.uint64))
+    u = rng.uniform_array(rng.derive(seed, 0x7A), np.arange(samples, dtype=np.uint64), 0)
     mag = np.empty(samples)
     mag[:half] = 10.0 ** (-9.0 + 18.0 * u[:half])        # wide sweep
     mag[half:] = 10.0 ** (-1.0 + 2.0 * u[half:])         # dense near the peak
     signs = np.where(
-        rng.uniform_array(rng.derive(seed, 0x7B),
-                          np.arange(samples, dtype=np.uint64),
-                          np.zeros(samples, dtype=np.uint64)) < 0.5,
+        rng.uniform_array(rng.derive(seed, 0x7B), np.arange(samples, dtype=np.uint64), 0)
+        < 0.5,
         -1.0, 1.0,
     )
     t = signs * mag

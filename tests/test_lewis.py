@@ -249,36 +249,22 @@ def test_heavy_row_converges_in_few_iterations():
     assert _svd_residual(A, lw.w, 1.0) <= 1e-7
 
 
-def test_peak_memory_within_three_buffer_kernel():
+def test_peak_memory_within_three_buffer_kernel(traced_peak):
     # The kernel this replaced held three n x d buffers and peaked at
     # 13 652 227 bytes on this input; the mixing history must fit in the room
     # the third buffer left.
-    import tracemalloc
-
     A = np.random.default_rng(0).standard_normal((50_000, 10))
-    tracemalloc.start()
-    try:
-        lewis_weights(A, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: lewis_weights(A, 1.0))
     assert peak <= 13_652_227
 
 
-def test_peak_memory_within_blocked_kernel():
+def test_peak_memory_within_blocked_kernel(traced_peak):
     # B, the one n x d copy, a dozen n-vectors (iterate, scores, mixing
     # history) and room for two d x block buffers: 9.46 MB here, which a
     # second n x d buffer would overrun.
-    import tracemalloc
-
     n, d = 50_000, 10
     A = np.random.default_rng(0).standard_normal((n, d))
-    tracemalloc.start()
-    try:
-        lewis_weights(A, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: lewis_weights(A, 1.0))
     assert peak <= 8 * n * d + 12 * 8 * n + 2 * 8 * d * BLOCK
 
 

@@ -171,20 +171,12 @@ def preset_instance(name):
 
 
 @pytest.mark.parametrize("name", ["l1-accept", "lp-accept"])
-def test_outcome_retains_about_one_array_per_label(name):
+def test_outcome_retains_about_one_array_per_label(name, traced_peak):
     # A kept outcome holds the sketch (indices and weights) and the ledger;
     # the ledger stores 8 bytes per label, not a Python int per label.
-    import tracemalloc
-
     inst, plan = preset_instance(name)
     active_solve(inst, plan, seed=3)  # lazy set-up is not retained per outcome
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        outcome = active_solve(inst, plan, seed=3)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    outcome, _, retained = traced_peak(lambda: active_solve(inst, plan, seed=3))
     sketch = outcome.sketch
     assert sketch.support_size > 1000
     assert retained <= 2 * (sketch.indices.nbytes + sketch.weights.nbytes)

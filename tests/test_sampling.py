@@ -15,7 +15,7 @@ from lewisreg import (
     support_size_bound,
     weighted_lp_loss,
 )
-from lewisreg.rng import POISSON_INVERSION_CUTOFF
+from lewisreg.rng import DRAW_BLOCK, POISSON_INVERSION_CUTOFF
 from lewisreg.sampling import POISSON_LP
 
 
@@ -203,20 +203,24 @@ def test_realize_golden_hashes():
         assert h.hexdigest() == GOLDEN_REALIZE[name], name
 
 
-def test_bernoulli_realize_peak_memory():
-    # The counter is the scalar 0, not an n-vector of zeros: the hashing's
-    # temporaries peak at five n-vectors of 8 bytes, six with the zeros.
-    import tracemalloc
+def test_bernoulli_realize_peak_memory(traced_peak):
+    # Rows are hashed DRAW_BLOCK at a time and the plan digest hashes the
+    # params in place, so the temporaries peak near six 8-byte block-vectors
+    # (6.08 measured) whatever n is. Unblocked they peaked at five n-vectors.
+    for n in (200_000, 500_000):
+        plan = plan_l1(np.full(n, 10.0 / n), u_override=0.01)
+        _, peak, _ = traced_peak(lambda: realize(plan, 7))
+        assert peak <= 7 * 8 * DRAW_BLOCK, n
 
-    n = 200_000
-    plan = plan_l1(np.full(n, 10.0 / n), u_override=0.01)
-    tracemalloc.start()
-    try:
-        realize(plan, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * 8 * n
+
+def test_poisson_realize_peak_memory(traced_peak):
+    # The counts (8 bytes a row) and their positive mask (1 byte) are the only
+    # n-sized arrays; the hashing and the inversion take at most 5.5 8-byte
+    # block-vectors here. Unblocked the draw peaked at 7.4 n-vectors.
+    for n in (200_000, 500_000):
+        plan = plan_lp(np.full(n, 10.0 / n), d=10, p=1.5, m_override=8000.0)
+        _, peak, _ = traced_peak(lambda: realize(plan, 7))
+        assert peak <= 9 * n + 7 * 8 * DRAW_BLOCK, n
 
 
 def test_sketch_indices_sorted_unique_positive_weights():

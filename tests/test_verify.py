@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,22 +123,74 @@ def test_ruc_climb_matches_reference_ascent(p, seed):
     assert trial.max_rel_violation == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_ruc_check_memory_stays_blocked():
-    # Half of one n x 256 block of residuals (41 MB at n = 20 000): the battery's
-    # direction images take 6.4 MB and the climb's 12.8 MB, one after the other.
+def test_ruc_check_memory_stays_blocked(traced_peak):
+    # The battery and the climb form their direction images IMAGE_BLOCK
+    # directions (1.3 MB) at a time: 3.5 MB measured, against 15.1 MB with
+    # the battery's 6.4 MB and the climb's 12.8 MB of images formed at once.
     n, d = 20_000, 10
     inst = lr.gen_random(n, d, noise_std=1.0, n_outliers=1, seed=15).instance
     beta = np.linalg.lstsq(inst.A, inst.reveal_hidden_labels(), rcond=None)[0]
     rows = np.arange(0, n, 10, dtype=np.int64)
     sketch = Sketch(indices=rows, weights=np.full(rows.size, 10.0), seed=0,
                     plan_hash="every-10th")
-    tracemalloc.start()
-    try:
-        lr.ruc_check(inst, sketch, beta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    _, peak, _ = traced_peak(lambda: lr.ruc_check(inst, sketch, beta))
+    assert peak < 6e6
+
+
+def test_embedding_check_memory_stays_blocked(traced_peak):
+    # Two 8 x n blocks of images at most (the next is formed before the loop
+    # drops the last): 1.47 MB measured, against 9.2 MB for all 100 at once.
+    n = 10_000
+    A = np.random.default_rng(3).standard_normal((n, 5))
+    rows = np.arange(0, n, 7, dtype=np.int64)
+    sketch = Sketch(indices=rows, weights=np.full(rows.size, 7.0), seed=0,
+                    plan_hash="every-7th")
+    report, peak, _ = traced_peak(
+        lambda: lr.embedding_check(A, sketch, 1.0, eps=0.5, directions=100))
+    assert report.directions == 100
+    assert peak <= 2e6
+
+
+def _pin_inputs():
+    r = np.random.default_rng(23)
+    n, d = 3000, 5
+    A = r.standard_normal((n, d))
+    y = A @ r.standard_normal(d) + r.standard_normal(n)
+    y[::401] *= 1e3
+    beta = np.linalg.lstsq(A, y, rcond=None)[0]
+    rows = np.sort(r.choice(n, 400, replace=False))
+    sketch = Sketch(indices=rows, weights=1.0 + 14.0 * r.random(rows.size), seed=0,
+                    plan_hash="pins")
+    return A, y, beta, sketch
+
+
+# RucTrial fields (delta, max corrected, max uncorrected, at b*, betas) and
+# EmbedReport.max_ratio_dev from the one-product images, before blocking.
+# The counts leave 1, 6, 1 and 4 directions past the last full block.
+_IMAGE_PINS = {
+    (9, 1.0): ("-0x1.883aa64752742p+13", "0x1.06955921b8284p-3",
+               "0x1.7d319ef0085c8p-1", "0x0.0p+0", 91, "0x1.af938720d85e0p-4"),
+    (30, 1.5): ("-0x1.ec1cd71fdfc06p+18", "0x1.532ba3247001fp-3",
+                "0x1.26bf0ce8a5082p+0", "0x0.0p+0", 301, "0x1.aa102aa65d220p-4"),
+    (33, 1.0): ("-0x1.883aa64752742p+13", "0x1.001fef6709649p-3",
+                "0x1.883c82ef0aec9p-1", "0x0.0p+0", 331, "0x1.149c18c3458c8p-3"),
+    (100, 1.5): ("-0x1.ec1cd71fdfc06p+18", "0x1.58e87b029060bp-3",
+                 "0x1.26bf0ce8a5082p+0", "0x0.0p+0", 1001, "0x1.c4d30fa516bb0p-4"),
+}
+
+
+@pytest.mark.parametrize("count,p", sorted(_IMAGE_PINS))
+def test_ruc_and_embedding_bits_pinned(count, p):
+    # The battery, the climb (which improves in each case) and the embedding
+    # check see the same bits whatever blocks their images are formed in.
+    A, y, beta, sketch = _pin_inputs()
+    t = lr.ruc_check(lr.RegressionInstance(A, y, p), sketch, beta,
+                     BetaSample(directions=count, seed=count, ascent_rounds=count))
+    e = lr.embedding_check(A, sketch, 2.5 - p, eps=0.5, directions=count, seed=count)
+    got = (t.delta_value.hex(), t.max_rel_violation.hex(), t.max_uncorrected.hex(),
+           t.violation_at_star.hex(), t.betas_evaluated, e.max_ratio_dev.hex())
+    assert got == _IMAGE_PINS[count, p]
+    assert e.directions == count
 
 
 @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(eps=1.0), dict(eps=-0.1),
