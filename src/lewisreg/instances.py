@@ -44,6 +44,10 @@ def gen_random(
     rows drawn uniformly (which, for this family, are never rows a Lewis plan
     would clamp to probability 1). `heavy_row_scale` inflates row 0 to build
     the coherent variant.
+
+    A is one C-contiguous array drawn a block of rows at a time, and the noise
+    is added to y one `rng.DRAW_BLOCK` block at a time, so besides A and y
+    the draw holds only block-sized buffers.
     """
     if n < d:
         raise ValueError("need n >= d")
@@ -53,9 +57,12 @@ def gen_random(
     beta0 = rng.normal_array(rng.derive(seed, _NS_BETA), np.arange(1), d)[0]
     y = A @ beta0
     if noise_std > 0:
-        y = y + noise_std * rng.normal_array(
-            rng.derive(seed, _NS_NOISE), np.arange(n), 1
-        )[:, 0]
+        noise_seed = rng.derive(seed, _NS_NOISE)
+        for start in range(0, n, rng.DRAW_BLOCK):
+            stop = min(start + rng.DRAW_BLOCK, n)
+            z = rng.normal_array(noise_seed, np.arange(start, stop, dtype=np.uint64), 1)
+            z *= noise_std
+            y[start:stop] += z[:, 0]
     out_rows = np.array([], dtype=np.int64)
     if n_outliers > 0:
         mag = outlier_scale * (noise_std if noise_std > 0 else 1.0)

@@ -20,7 +20,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # A finite sum needs every entry finite and takes no n x d mask; only a
+    # sum that is not finite (a bad entry, or an overflow) runs the full test.
+    with np.errstate(over="ignore"):
+        total = m.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf")
     return m
 

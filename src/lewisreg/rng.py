@@ -8,6 +8,9 @@ test vectors in tests/test_rng.py.
 
 Scalar helpers use Python ints; the `*_array` variants are vectorized numpy
 uint64 implementations of the same arithmetic (wrapping is identical).
+Draws over many rows (normals, Poisson counts) run DRAW_BLOCK values or rows
+at a time in elementwise arithmetic, so their temporaries take one block of
+memory, not n, and their values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -42,9 +45,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-    return z ^ (z >> np.uint64(31))
+    """`mix64` of every element of the uint64 array z, in place; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= _U_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _U_MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def raw(seed: int, stream: int, counter: int) -> int:
@@ -59,16 +66,25 @@ def uniform(seed: int, stream: int, counter: int) -> float:
 
 
 def _stream_base_array(seed: int, streams: np.ndarray) -> np.ndarray:
-    s = streams.astype(np.uint64, copy=False)
-    return _mix64_array(np.uint64(seed & _MASK) ^ ((s + np.uint64(1)) * _U_GOLDEN))
+    z = (streams.astype(np.uint64, copy=False) + np.uint64(1)) * _U_GOLDEN
+    z ^= np.uint64(seed & _MASK)
+    return _mix64_array(z)
+
+
+def _to_uniform(z: np.ndarray) -> np.ndarray:
+    """The doubles (z >> 11) * 2**-53 of the uint64 array z, in z's memory."""
+    z >>= np.uint64(11)
+    u = z.view(np.float64)
+    # Below 2**53 the conversion and the power-of-two scaling are exact.
+    np.multiply(z, 2.0 ** -53, out=u)
+    return u
 
 
 def uniform_array(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorized `uniform`; `streams` and `counters` broadcast together."""
     base = _stream_base_array(seed, np.asarray(streams, dtype=np.uint64))
     c = np.asarray(counters, dtype=np.uint64)
-    z = _mix64_array(base + (c + np.uint64(1)) * _U_GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return _to_uniform(_mix64_array(np.asarray(base + (c + np.uint64(1)) * _U_GOLDEN)))
 
 
 def derive(seed: int, *parts: int) -> int:
@@ -92,36 +108,85 @@ class ScalarStream:
         return (z >> 11) * 2.0 ** -53
 
 
-def normal_array(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
-    """`count` standard normals per stream (Box-Muller), shape (len(streams), count)."""
-    streams = np.asarray(streams, dtype=np.uint64)
+def _normal_rows(seed: int, n: int, count: int, block_streams) -> np.ndarray:
+    """The (n, count) Box-Muller draw of `normal_array`, filled a block at a time.
+
+    `block_streams(start, stop)` gives the streams of rows start..stop-1. Row
+    i's values 2j and 2j+1 are r cos(theta) and r sin(theta), where
+    r = sqrt(-2 log1p(-u1)) and theta = 2 pi u2 for the uniforms u1, u2 at
+    counters 2j and 2j+1 of the row's stream. Each block of rows spans about
+    DRAW_BLOCK values and is hashed into two (rows, pairs) buffers, which are
+    turned into r and theta in place; every step is the same elementwise
+    arithmetic as on the whole array, so the values do not depend on the
+    block size.
+    """
+    out = np.empty((n, count))
     pairs = (count + 1) // 2
-    c = np.arange(2 * pairs, dtype=np.uint64)
-    u = uniform_array(seed, streams[:, None], c[None, :])
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * np.pi * u2
-    z = np.empty((streams.size, 2 * pairs))
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, :count]
+    if n == 0 or pairs == 0:
+        return out
+    step = 2 * np.arange(pairs, dtype=np.uint64)
+    even = (step + np.uint64(1)) * _U_GOLDEN          # counters 0, 2, 4, ...
+    odd = (step + np.uint64(2)) * _U_GOLDEN           # counters 1, 3, 5, ...
+    rows = max(1, DRAW_BLOCK // (2 * pairs))
+    buf1 = np.empty((rows, pairs), dtype=np.uint64)
+    buf2 = np.empty((rows, pairs), dtype=np.uint64)
+    trig = np.empty((rows, pairs))
+    # With an odd count the last pair's sine is not used.
+    sines = count // 2
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        k = stop - start
+        base = _stream_base_array(seed, block_streams(start, stop))[:, None]
+        r = _to_uniform(_mix64_array(np.add(base, even, out=buf1[:k])))
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = _to_uniform(_mix64_array(np.add(base, odd, out=buf2[:k])))
+        theta *= 2.0 * np.pi
+        block = out[start:stop]
+        t = trig[:k]
+        np.cos(theta, out=t)
+        np.multiply(r, t, out=block[:, 0::2])
+        np.sin(theta[:, :sines], out=t[:, :sines])
+        np.multiply(r[:, :sines], t[:, :sines], out=block[:, 1::2])
+    return out
+
+
+def normal_array(seed: int, streams: np.ndarray, count: int) -> np.ndarray:
+    """`count` standard normals per stream, shape (len(streams), count).
+
+    Box-Muller on each stream's counters 0 .. 2*ceil(count/2) - 1 (see
+    `_normal_rows`). The result is one C-contiguous array that owns its
+    data, drawn a block of rows at a time, so nothing else of size n is
+    held while it fills.
+    """
+    streams = np.asarray(streams)
+    return _normal_rows(seed, streams.size, count,
+                        lambda start, stop: streams[start:stop])
 
 
 def normal_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """Seeded (rows, cols) standard-normal matrix; row i is stream i."""
-    return normal_array(seed, np.arange(rows, dtype=np.uint64), cols)
+    return _normal_rows(seed, rows, cols,
+                        lambda start, stop: np.arange(start, stop, dtype=np.uint64))
 
 
 def choose_prefix(seed: int, n: int, m: int) -> np.ndarray:
-    """m distinct indices from range(n) via a partial Fisher-Yates shuffle."""
+    """m distinct indices from range(n) via a partial Fisher-Yates shuffle.
+
+    Only the positions the shuffle has swapped are stored (position -> value),
+    so the memory is O(m) whatever n is.
+    """
     if not 0 <= m <= n:
         raise ValueError(f"cannot choose {m} of {n}")
-    idx = np.arange(n, dtype=np.int64)
+    moved: dict[int, int] = {}
+    out = np.empty(m, dtype=np.int64)
     for i in range(m):
         j = i + int(uniform(seed, i, 0) * (n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:m])
+        out[i] = moved.get(j, j)
+        moved[j] = moved.get(i, i)
+    return np.sort(out)
 
 
 def _poisson_inversion_array(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -165,30 +230,44 @@ def _poisson_ptrs(lam: float, stream: ScalarStream) -> int:
             return int(k)
 
 
-def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
-    """Poisson counts, one per rate; rate i is drawn from stream i.
+def poisson_support(seed: int, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with a positive Poisson count, increasing, and their counts.
 
-    Rates below POISSON_INVERSION_CUTOFF use single-uniform inversion
-    (vectorized, DRAW_BLOCK rows at a time); larger rates fall back to the
-    scalar rejection sampler. Either way the draw depends only on
-    (seed, i, rates[i]). A negative or non-finite rate raises ValueError.
+    Row i's count is drawn from stream i with rate rates[i]. Rates below
+    POISSON_INVERSION_CUTOFF use single-uniform inversion (vectorized,
+    DRAW_BLOCK rows at a time); larger rates fall back to the scalar
+    rejection sampler. Either way the draw depends only on (seed, i,
+    rates[i]). Each block keeps only its positive rows, so nothing of size n
+    is allocated. A negative or non-finite rate raises ValueError.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    k = np.zeros(rates.shape, dtype=np.int64)
-    if rates.size == 0:
-        return k
-    # min and max are NaN or infinite exactly when some rate is.
-    lo, hi = np.min(rates), np.max(rates)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("Poisson rates must be finite")
-    if lo < 0:
-        raise ValueError("negative Poisson rate")
+    rows = [np.empty(0, dtype=np.int64)]
+    counts = [np.empty(0, dtype=np.int64)]
+    if rates.size:
+        # min and max are NaN or infinite exactly when some rate is.
+        lo, hi = np.min(rates), np.max(rates)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("Poisson rates must be finite")
+        if lo < 0:
+            raise ValueError("negative Poisson rate")
     for start in range(0, rates.size, DRAW_BLOCK):
         block = rates[start:start + DRAW_BLOCK]
+        k = np.zeros(block.size, dtype=np.int64)
         idx = np.flatnonzero((block > 0) & (block < POISSON_INVERSION_CUTOFF))
         if idx.size:
-            u = uniform_array(seed, idx + start, 0)
-            k[idx + start] = _poisson_inversion_array(block[idx], u)
-        for i in np.flatnonzero(block >= POISSON_INVERSION_CUTOFF) + start:
-            k[i] = _poisson_ptrs(float(rates[i]), ScalarStream(seed, int(i)))
+            k[idx] = _poisson_inversion_array(block[idx], uniform_array(seed, idx + start, 0))
+        for i in np.flatnonzero(block >= POISSON_INVERSION_CUTOFF):
+            k[i] = _poisson_ptrs(float(block[i]), ScalarStream(seed, start + int(i)))
+        positive = np.flatnonzero(k)
+        rows.append(positive + start)
+        counts.append(k[positive])
+    return np.concatenate(rows), np.concatenate(counts)
+
+
+def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
+    """Poisson counts, one per rate: the dense form of `poisson_support`."""
+    rates = np.asarray(rates, dtype=np.float64)
+    rows, counts = poisson_support(seed, rates)
+    k = np.zeros(rates.shape, dtype=np.int64)
+    k[rows] = counts
     return k

@@ -165,7 +165,9 @@ def _check_unit_interval(**kwargs: float) -> None:
 def realize(plan: SamplePlan, seed: int) -> Sketch:
     """Draw the sparse reweighting s for the plan; row i uses stream i of `seed`.
 
-    Bernoulli and Poisson rows are drawn `rng.DRAW_BLOCK` rows at a time.
+    Bernoulli and Poisson rows are drawn `rng.DRAW_BLOCK` rows at a time and
+    each block keeps only its rows in the support, so apart from the plan
+    nothing of size n is held.
     """
     if plan.scheme == BERNOULLI_L1:
         probs = plan.params
@@ -178,9 +180,8 @@ def realize(plan: SamplePlan, seed: int) -> Sketch:
         idx = np.concatenate(kept)
         weights = 1.0 / probs[idx]
     elif plan.scheme == POISSON_LP:
-        counts = rng.poisson_array(seed, plan.params)
-        idx = np.nonzero(counts > 0)[0]
-        weights = counts[idx] / plan.params[idx]
+        idx, counts = rng.poisson_support(seed, plan.params)
+        weights = counts / plan.params[idx]
     else:
         m = int(round(plan.m))
         idx = rng.choose_prefix(seed, plan.n, m)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lewisreg import DegenerateMatrixError, leverage_scores, lp_norm, weighted_lp_loss
+from lewisreg.linalg import as_matrix
 
 
 def test_leverage_identity():
@@ -65,6 +68,21 @@ def test_nan_rejected():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         leverage_scores(bad)
+
+
+def test_as_matrix_finiteness_without_a_mask():
+    for bad in (np.nan, np.inf, -np.inf):
+        A = np.ones((5, 3))
+        A[3, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            as_matrix(A)
+    # Finite entries whose sum overflows are accepted, without a warning.
+    huge = np.full((4, 3), 1e308)
+    huge[0, 0] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_matrix(huge) is huge
+    assert as_matrix(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_lp_norm_examples():

@@ -126,9 +126,109 @@ def test_poisson_deterministic_per_row():
     np.testing.assert_array_equal(a, b)
 
 
+def test_poisson_support_rows_use_their_own_streams():
+    # Rates across several blocks, zero, inversion and rejection regimes; the
+    # reference draws each positive row alone from its stream.
+    n = 3 * rng.DRAW_BLOCK + 5
+    rates = np.zeros(n)
+    rows = np.random.default_rng(2).choice(n, 300, replace=False)
+    rates[rows] = np.linspace(0.01, 45.0, rows.size)
+    rates[[0, rng.DRAW_BLOCK - 1, rng.DRAW_BLOCK, n - 1]] = [2.0, 3.0, 50.0, 1.5]
+    seed = 2**63 + 17
+    want = {}
+    for i in np.flatnonzero(rates):
+        if rates[i] < rng.POISSON_INVERSION_CUTOFF:
+            k = rng._poisson_inversion_array(rates[i:i + 1],
+                                             np.array([rng.uniform(seed, int(i), 0)]))[0]
+        else:
+            k = rng._poisson_ptrs(float(rates[i]), rng.ScalarStream(seed, int(i)))
+        if k > 0:
+            want[int(i)] = int(k)
+    got_rows, got_counts = rng.poisson_support(seed, rates)
+    assert got_rows.tolist() == sorted(want)
+    assert got_counts.tolist() == [want[i] for i in sorted(want)]
+    dense = rng.poisson_array(seed, rates)
+    assert np.flatnonzero(dense).tolist() == sorted(want)
+    assert rng.poisson_support(seed, np.zeros(0))[0].size == 0
+
+
 def test_choose_prefix_properties():
     idx = rng.choose_prefix(4, 100, 17)
     assert idx.size == 17
     assert np.unique(idx).size == 17
     assert np.all(np.diff(idx) > 0)
     np.testing.assert_array_equal(idx, rng.choose_prefix(4, 100, 17))
+
+
+def _normal_array_unblocked(seed, streams, count):
+    """Reference: the whole Box-Muller draw at once, even columns then odd."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    pairs = (count + 1) // 2
+    c = np.arange(2 * pairs, dtype=np.uint64)
+    u = rng.uniform_array(seed, streams[:, None], c[None, :])
+    u1 = u[:, 0::2]
+    u2 = u[:, 1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    z = np.empty((streams.size, 2 * pairs))
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r * np.sin(theta)
+    return z[:, :count]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 17])
+def test_normal_array_matches_unblocked_reference(seed):
+    block = rng.DRAW_BLOCK
+    for n in (0, 1, 7, block - 1, block + 1, 3 * block + 5):
+        streams = np.arange(n, dtype=np.uint64)
+        for count in range(12):
+            got = rng.normal_array(seed, streams, count)
+            want = _normal_array_unblocked(seed, streams, count)
+            assert got.shape == want.shape == (n, count)
+            assert got.tobytes() == want.tobytes(), (n, count)
+
+
+def test_normal_array_matches_reference_on_scattered_streams():
+    r = np.random.default_rng(5)
+    scattered = [
+        r.permutation(20_000).astype(np.uint64),
+        r.integers(0, 2**64 - 1, 9_000, dtype=np.uint64, endpoint=True),
+        np.array([2**64 - 1, 0, 2**63, 7, 7], dtype=np.uint64),
+        np.arange(2 * rng.DRAW_BLOCK, 0, -3, dtype=np.int64),
+    ]
+    for seed in (0, 42, 2**63 + 17):
+        for streams in scattered:
+            for count in (1, 2, 5, 10):
+                got = rng.normal_array(seed, streams, count)
+                want = _normal_array_unblocked(seed, streams, count)
+                assert got.tobytes() == want.tobytes(), (streams.size, count)
+
+
+def _choose_prefix_dense(seed, n, m):
+    """Reference: the partial Fisher-Yates shuffle on a full index array."""
+    idx = np.arange(n, dtype=np.int64)
+    for i in range(m):
+        j = i + int(rng.uniform(seed, i, 0) * (n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:m])
+
+
+def test_choose_prefix_matches_dense_shuffle():
+    for seed in (0, 4, 42, 2**63 + 17):
+        for n, m in ((1, 0), (1, 1), (5, 5), (100, 0), (100, 17), (100, 100),
+                     (1000, 999), (1_000_000, 10)):
+            got = rng.choose_prefix(seed, n, m)
+            want = _choose_prefix_dense(seed, n, m)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+
+def test_choose_prefix_memory_independent_of_n(traced_peak):
+    _, peak, _ = traced_peak(lambda: rng.choose_prefix(3, 10**6, 10))
+    assert peak < 10_000
+
+
+def test_normal_matrix_peak_memory(traced_peak):
+    # The matrix itself plus about 0.34 MB of block buffers.
+    A, peak, _ = traced_peak(lambda: rng.normal_matrix(5, 200_000, 10))
+    assert peak <= A.nbytes + 2**20
