@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__, matio
 from .errors import BudgetExceededError, DegenerateMatrixError
 from .experiments import (
+    SWEEP_AXES,
     ExperimentConfig,
     fit_loglog_slope,
     preset_config,
@@ -142,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="sweep one config axis and fit the trend")
     sw.add_argument("--preset", required=True)
-    sw.add_argument("--axis", choices=["m", "eps", "c_u"], required=True)
+    sw.add_argument("--axis", choices=list(SWEEP_AXES), required=True)
     sw.add_argument("--values", required=True,
                     help="comma-separated ascending values")
     sw.add_argument("--metric", default="median_violation")
@@ -171,7 +172,6 @@ def _overrides(args) -> dict:
         "n": args.n, "d": args.d, "p": args.p_value, "eps": args.eps,
         "delta": args.delta, "scheme": args.scheme, "c_u": args.c_u,
         "c_m": args.c_m, "trials": args.trials, "seed": args.seed,
-        "out": args.out,
     }
     return {k: v for k, v in mapping.items() if v is not None}
 
@@ -363,8 +363,8 @@ def _cmd_run(args) -> int:
     config = preset_config(args.preset, **_overrides(args))
     report = run_experiment(config)
     text = report.to_json()
-    if config.out:
-        with open(config.out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text + "\n")
     print(text)
     return 0 if report.passed else 1
@@ -380,14 +380,12 @@ def _cmd_sweep(args) -> int:
     if all(y is not None and y > 0 for y in ys):
         slope = fit_loglog_slope(values, ys)
     out = {"axis": args.axis, "rows": rows, "metric": args.metric, "slope": slope}
-    if config.out:
-        base = config.out
-        with open(base, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             json.dump({"summary": out,
                        "reports": [json.loads(r.to_json()) for r in reports]},
                       f, indent=2, sort_keys=True)
-        csv_path = base + ".csv"
-        with open(csv_path, "w") as f:
+        with open(args.out + ".csv", "w") as f:
             f.write(f"{args.axis},{args.metric},pass_fraction\n")
             for row in rows:
                 f.write(f"{row[args.axis]},{row[args.metric]},{row['pass_fraction']}\n")

@@ -42,10 +42,16 @@ FAMILIES = ("l1-endtoend", "lp-endtoend", "embed", "ruc", "cross", "coin")
 # c_m 0.5 keeps the Poisson budget in the low thousands at the preset sizes.
 DEFAULT_C_U = 0.45
 DEFAULT_C_M = 0.5
+# An end-to-end trial's query budget is the Bernstein bound on the plan's
+# support that fails with this probability.
+BUDGET_DELTA = 0.005
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Only the embed family reads `scheme`; the others fix
+    their own (end-to-end by family, ruc Bernoulli L1, cross Poisson Lp)."""
+
     family: str = "l1-endtoend"
     preset: str = ""
     n: int = 2000
@@ -62,18 +68,17 @@ class ExperimentConfig:
     n_outliers: int = 0
     outlier_scale: float = 1e4
     m_target: float | None = None   # overrides the sample-size formulas
-    budget: int | None = None       # query budget; None derives a Bernstein bound
-    budget_delta: float = 0.005
     pass_fraction_required: float = 0.9
     directions: int = 40
     coin_m_small: int = 25
     coin_m_large: int = 250_000
     coin_eps: float = 0.02
-    out: str | None = None
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if self.scheme not in (BERNOULLI_L1, POISSON_LP, UNIFORM):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n <= 0 or self.d <= 0 or self.trials < 0:
             raise ValueError("n, d must be positive and trials nonnegative")
         if not 0.0 < self.eps < 1.0 or not 0.0 < self.delta < 1.0:
@@ -94,8 +99,8 @@ class ExperimentReport:
     schema_version: int = SCHEMA_VERSION
     tool_version: str = __version__
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -119,6 +124,11 @@ def run_trials(config: ExperimentConfig, instance) -> tuple[list, dict, bool]:
     `RegressionInstance` for the others; n and d in `config` must match it.
     """
     config.validate()
+    if config.family != "coin":
+        shape = (instance if config.family == "embed" else instance.A).shape
+        if shape != (config.n, config.d):
+            raise ValueError(f"config n={config.n}, d={config.d} does not match "
+                             f"the {shape[0]}x{shape[1]} instance")
     return _RUNNERS[config.family][1](config, instance)
 
 
@@ -142,14 +152,14 @@ def _no_instance(config: ExperimentConfig):
 
 
 def _plan(config: ExperimentConfig, A, lewis_p: float, scheme: str):
-    """The `scheme` plan of A from its Lewis weights at `lewis_p`."""
+    """The `scheme` plan of A from its Lewis weights at `lewis_p` (none for uniform)."""
+    if scheme == UNIFORM:
+        return plan_uniform(config.n, int(config.m_target or config.n // 10))
     lw = lewis_weights(A, lewis_p)
     if scheme == POISSON_LP:
         return plan_lp(lw.w, gamma=lw.gamma, eps=config.eps, delta=config.delta,
                        d=config.d, p=config.p, m_override=config.m_target,
                        c_m=config.c_m)
-    if scheme == UNIFORM:
-        return plan_uniform(config.n, int(config.m_target or config.n // 10))
     u_override = None
     if config.m_target is not None:
         u_override = lw.gamma * float(np.sum(lw.w)) / config.m_target
@@ -164,6 +174,26 @@ def _full_minimizer(inst):
     return solve_weighted_lp(inst.A, y, inst.p, tol=1e-10)
 
 
+def _summary(config: ExperimentConfig, plan, records: list, medians: dict,
+             gated: bool = True, **extra) -> tuple[list, dict, bool]:
+    """The records, their aggregates and the pass flag: one tail for every runner.
+
+    `medians` maps an aggregate name to the record field it is the median of
+    (None without records). A gated family counts the records that passed
+    and passes when their fraction reaches `pass_fraction_required` (vacuously
+    with no trials); an ungated one passes always and counts nothing.
+    """
+    aggregates = {"expected_support": plan.expected_support, **extra}
+    for name, field in medians.items():
+        aggregates[name] = float(np.median([r[field] for r in records])) if records else None
+    if not gated:
+        return records, aggregates, True
+    npass = sum(r["passed"] for r in records)
+    frac = npass / config.trials if config.trials else 1.0
+    aggregates.update(pass_count=npass, pass_fraction=frac)
+    return records, aggregates, frac >= config.pass_fraction_required
+
+
 def _endtoend(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
     if config.family == "l1-endtoend":
         plan = _plan(config, inst.A, 1.0, BERNOULLI_L1)
@@ -173,41 +203,26 @@ def _endtoend(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
     L_star = full.objective
     y = inst.reveal_hidden_labels()
     bound = approx_transfer_bound(config.eps)
-    budget = config.budget
-    if budget is None:
-        budget = math.ceil(support_size_bound(plan, config.budget_delta))
+    budget = math.ceil(support_size_bound(plan, BUDGET_DELTA))
 
     def one(t: int) -> dict:
         outcome = active_solve(inst, plan, rng.derive(config.seed, 0x02, t))
         queries = outcome.ledger.count
-        if outcome.result.status == DEGENERATE:
-            return {"trial": t, "queries": queries, "ratio": math.inf,
-                    "within_budget": queries <= budget, "passed": False}
-        loss = weighted_lp_loss(inst.A, y, outcome.result.beta, p=inst.p)
-        ratio = loss / L_star if L_star > 0 else (1.0 if loss == 0 else math.inf)
-        ok = ratio <= bound and queries <= budget
+        ratio = math.inf
+        if outcome.result.status != DEGENERATE:
+            loss = weighted_lp_loss(inst.A, y, outcome.result.beta, p=inst.p)
+            ratio = loss / L_star if L_star > 0 else (1.0 if loss == 0 else math.inf)
+        within = queries <= budget
         return {"trial": t, "queries": queries, "ratio": ratio,
-                "within_budget": queries <= budget, "passed": bool(ok)}
+                "within_budget": within, "passed": bool(ratio <= bound and within)}
 
     records = [one(t) for t in range(config.trials)]
-    ratios = np.array([r["ratio"] for r in records]) if records else np.array([])
-    queries = np.array([r["queries"] for r in records]) if records else np.array([])
-    npass = sum(r["passed"] for r in records)
-    frac = npass / config.trials if config.trials else 1.0
-    aggregates = {
-        "optimal_loss": L_star,
-        "ratio_bound": bound,
-        "budget": budget,
-        "expected_support": plan.expected_support,
-        "pass_count": npass,
-        "pass_fraction": frac,
-        "median_ratio": float(np.median(ratios)) if records else None,
-        "query_quantiles": {
-            "min": int(queries.min()), "median": float(np.median(queries)),
-            "max": int(queries.max()),
-        } if records else None,
-    }
-    return records, aggregates, frac >= config.pass_fraction_required
+    queries = [r["queries"] for r in records]
+    quantiles = {"min": int(min(queries)), "median": float(np.median(queries)),
+                 "max": int(max(queries))} if records else None
+    return _summary(config, plan, records, {"median_ratio": "ratio"},
+                    optimal_loss=L_star, ratio_bound=bound, budget=budget,
+                    query_quantiles=quantiles)
 
 
 def _embed(config: ExperimentConfig, A) -> tuple[list, dict, bool]:
@@ -222,16 +237,7 @@ def _embed(config: ExperimentConfig, A) -> tuple[list, dict, bool]:
                 "max_ratio_dev": rep.max_ratio_dev, "passed": rep.passed}
 
     records = [one(t) for t in range(config.trials)]
-    npass = sum(r["passed"] for r in records)
-    frac = npass / config.trials if config.trials else 1.0
-    aggregates = {
-        "expected_support": plan.expected_support,
-        "pass_count": npass,
-        "pass_fraction": frac,
-        "median_deviation": float(np.median([r["max_ratio_dev"] for r in records]))
-        if records else None,
-    }
-    return records, aggregates, frac >= config.pass_fraction_required
+    return _summary(config, plan, records, {"median_deviation": "max_ratio_dev"})
 
 
 def _ruc(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
@@ -254,19 +260,9 @@ def _ruc(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
         }
 
     records = [one(t) for t in range(config.trials)]
-    corr = np.array([r["max_rel_violation"] for r in records])
-    unc = np.array([r["max_uncorrected"] for r in records])
-    npass = int(np.sum(corr <= config.eps)) if records else 0
-    frac = npass / config.trials if config.trials else 1.0
-    unc_frac = float(np.mean(unc > config.eps)) if records else 0.0
-    aggregates = {
-        "expected_support": plan.expected_support,
-        "pass_count": npass,
-        "pass_fraction": frac,
-        "median_violation": float(np.median(corr)) if records else None,
-        "uncorrected_exceed_fraction": unc_frac,
-    }
-    return records, aggregates, frac >= config.pass_fraction_required
+    exceed = float(np.mean([r["uncorrected_exceeds"] for r in records])) if records else 0.0
+    return _summary(config, plan, records, {"median_violation": "max_rel_violation"},
+                    uncorrected_exceed_fraction=exceed)
 
 
 def _cross(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
@@ -282,15 +278,9 @@ def _cross(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
                 "max_ratio": rep.max_ratio, "fitted_c": rep.fitted_c}
 
     records = [one(t) for t in range(config.trials)]
-    ratios = np.array([r["max_ratio"] for r in records])
-    aggregates = {
-        "m": plan.m,
-        "expected_support": plan.expected_support,
-        "median_max_ratio": float(np.median(ratios)) if records else None,
-        "median_fitted_c": float(np.median([r["fitted_c"] for r in records]))
-        if records else None,
-    }
-    return records, aggregates, True
+    return _summary(config, plan, records,
+                    {"median_max_ratio": "max_ratio", "median_fitted_c": "fitted_c"},
+                    gated=False, m=plan.m)
 
 
 def _coin(config: ExperimentConfig, _) -> tuple[list, dict, bool]:
@@ -323,35 +313,25 @@ _RUNNERS = {
     "coin": (_no_instance, _coin),
 }
 
-SWEEP_AXES = ("m", "eps", "c_u")
+# sweep axis -> the config field it sets
+SWEEP_AXES = {"m": "m_target", "eps": "eps", "c_u": "c_u"}
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[ExperimentReport]:
     """One report per axis value; values must be sorted ascending."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
     values = list(values)
     if values != sorted(values):
         raise ValueError("sweep values must be sorted ascending")
-    reports = []
-    for v in values:
-        c = dataclasses.replace(config)
-        if axis == "m":
-            c.m_target = float(v)
-        elif axis == "eps":
-            c.eps = float(v)
-        else:
-            c.c_u = float(v)
-        reports.append(run_experiment(c))
-    return reports
+    return [run_experiment(dataclasses.replace(config, **{SWEEP_AXES[axis]: float(v)}))
+            for v in values]
 
 
 def sweep_summary(axis: str, values, reports, metric: str) -> list[dict]:
-    rows = []
-    for v, rep in zip(values, reports):
-        rows.append({axis: v, metric: rep.aggregates.get(metric),
-                     "pass_fraction": rep.aggregates.get("pass_fraction")})
-    return rows
+    return [{axis: v, metric: rep.aggregates.get(metric),
+             "pass_fraction": rep.aggregates.get("pass_fraction")}
+            for v, rep in zip(values, reports)]
 
 
 def fit_loglog_slope(xs, ys) -> float:

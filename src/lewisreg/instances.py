@@ -18,6 +18,9 @@ _NS_OUTLIER = 0x44
 _NS_LABELS = 0x55
 _NS_COIN = 0x66
 
+# The coin game draws about this many label uniforms per block.
+_COIN_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -127,7 +130,6 @@ def sign_recovery_experiment(
     m_queries: int,
     trials: int,
     seed: int = 0,
-    chunk: int = 1 << 22,
 ) -> float:
     """Win rate of majority-of-m-uniform-queries against the biased label coin.
 
@@ -148,7 +150,7 @@ def sign_recovery_experiment(
     probs = 0.5 + alpha * eps
     counts = np.zeros(trials, dtype=np.int64)
     label_seed = rng.derive(seed, _NS_LABELS)
-    cols_per_block = max(1, chunk // max(trials, 1))
+    cols_per_block = max(1, _COIN_BLOCK // max(trials, 1))
     streams = np.arange(trials, dtype=np.uint64)[:, None]
     start = 0
     while start < m_queries:

@@ -399,8 +399,8 @@ class UniformityReport:
     ok: bool
 
 
-def uniformity_report(A, p: float, lw: LewisWeights, rel_tol: float = 1e-6) -> UniformityReport:
-    """Check that leverage non-uniformity is at most alpha^(4/p - 1)."""
+def uniformity_report(A, p: float, lw: LewisWeights) -> UniformityReport:
+    """Check that leverage non-uniformity is at most alpha^(4/p - 1), to a relative 1e-6."""
     A = as_matrix(A)
     if not lw.converged:
         raise ValueError("uniformity_report requires converged Lewis weights")
@@ -413,7 +413,7 @@ def uniformity_report(A, p: float, lw: LewisWeights, rel_tol: float = 1e-6) -> U
     bound = alpha**c_p
     return UniformityReport(
         p=p, alpha=alpha, alpha_leverage=alpha_lev, exponent=c_p, bound=bound,
-        ok=alpha_lev <= bound * (1.0 + rel_tol),
+        ok=alpha_lev <= bound * (1.0 + 1e-6),
     )
 
 

@@ -40,6 +40,10 @@ from .sampling import Sketch
 IMAGE_BLOCK = 8
 _MIN_IMAGE_ROWS = 4
 
+# cross_term_check rejects labels whose gradient at the fit, relative to
+# sum_i |psi_i| ||a_i||, exceeds this: they are not centered at the minimizer.
+_PRECONDITION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BetaSample:
@@ -47,7 +51,6 @@ class BetaSample:
 
     directions: int = 40
     seed: int = 0
-    radii: tuple | None = None   # multipliers of L(beta*) on the p-power scale
     ascent_rounds: int = 80
 
 
@@ -56,7 +59,6 @@ class RucTrial:
     delta_value: float           # L(beta*) - Ltilde(beta*)
     max_rel_violation: float     # corrected, over the beta battery
     max_uncorrected: float       # |Ltilde - L| / L, same battery
-    violation_at_star: float
     betas_evaluated: int
 
 
@@ -179,7 +181,7 @@ def ruc_check(
     maximized over the battery plus a local ascent, and the uncorrected
     |Ltilde(b) - L(b)| / L(b) over the same battery: b* and, along each sampled
     direction eta with A eta != 0, the b* + t eta with ||t A eta||_p^p equal to
-    the radii times L(b*), whose residuals are A b* - y + t A eta.
+    `default_radii(eps, delta)` times L(b*), whose residuals are A b* - y + t A eta.
     """
     _check_unit_interval("eps", eps)
     _check_unit_interval("delta", delta)
@@ -193,13 +195,12 @@ def ruc_check(
     r0_s = r0[rows]
     L_star = float(np.sum(np.abs(r0) ** p))
     Lt_star = float(np.sum(w_s * np.abs(r0_s) ** p))
-    radii = betas.radii if betas.radii is not None else default_radii(eps, delta)
-    scale = np.asarray(radii) * (L_star if L_star > 0 else 1.0)
+    scale = np.asarray(default_radii(eps, delta)) * (L_star if L_star > 0 else 1.0)
     # b* is battery point 0. Its losses are L_star and Lt_star themselves, so
     # the violation at b* vanishes identically rather than to rounding.
     corrected, uncorrected = _violations(np.array([L_star]), np.array([Lt_star]),
                                          L_star, Lt_star)
-    at_star = best = corrected[0]
+    best = corrected[0]
     top_uncorrected = uncorrected[0]
     evaluated = 1
     x0, r, r_s = beta_star, r0, r0_s
@@ -233,7 +234,6 @@ def ruc_check(
         delta_value=L_star - Lt_star,
         max_rel_violation=max(float(best), refined),
         max_uncorrected=float(top_uncorrected),
-        violation_at_star=float(at_star),
         betas_evaluated=evaluated,
     )
 
@@ -301,7 +301,6 @@ def cross_term_check(
     m: float | None = None,
     gamma: float = 1.0,
     delta: float = 0.1,
-    precondition_tol: float = 1e-6,
 ) -> CrossTermReport:
     """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta.
 
@@ -319,7 +318,7 @@ def cross_term_check(
     grad = A.T @ psi
     scale = float(np.sum(np.abs(psi) * np.linalg.norm(A, axis=1)))
     rel = float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0
-    if rel > precondition_tol:
+    if rel > _PRECONDITION_TOL:
         raise ValueError(
             f"labels are not centered at the minimizer: gradient residual {rel:.2e}"
         )

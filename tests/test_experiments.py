@@ -4,15 +4,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from lewisreg import realize, rng
+from lewisreg import experiments, realize, rng
 from lewisreg.experiments import (
     SCHEMA_VERSION,
+    SWEEP_AXES,
     ExperimentConfig,
     _plan,
     _random_instance,
     fit_loglog_slope,
     preset_config,
     run_experiment,
+    run_trials,
     sweep,
 )
 
@@ -31,6 +33,28 @@ def test_config_validation():
         ExperimentConfig(eps=0.0).validate()
     with pytest.raises(ValueError):
         preset_config("not-a-preset")
+    # A misspelt scheme must not fall through to a Bernoulli plan.
+    with pytest.raises(ValueError, match="scheme"):
+        ExperimentConfig(family="embed", scheme="poisson").validate()
+
+
+def test_run_trials_rejects_shape_mismatch():
+    config = small_l1_config(n=300, d=3, trials=1)
+    inst = _random_instance(config)
+    with pytest.raises(ValueError, match="does not match"):
+        run_trials(dataclasses.replace(config, d=4), inst)
+    with pytest.raises(ValueError, match="does not match"):
+        run_trials(dataclasses.replace(config, family="embed", n=301), inst.A)
+
+
+def test_uniform_plan_needs_no_lewis_weights(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lewis_weights called for a uniform plan")
+
+    monkeypatch.setattr(experiments, "lewis_weights", refuse)
+    config = ExperimentConfig(family="embed", n=500, d=3, scheme="uniform", m_target=60.0)
+    plan = _plan(config, None, 1.0, config.scheme)
+    assert plan.m == 60
 
 
 def test_report_embeds_config_and_version():
@@ -47,6 +71,17 @@ def test_sweep_requires_sorted_values():
         sweep(small_l1_config(), "m", [200, 100])
     with pytest.raises(ValueError):
         sweep(small_l1_config(), "budget", [1, 2])
+
+
+@pytest.mark.parametrize("axis,field,value", [("m", "m_target", 700.0), ("eps", "eps", 0.35),
+                                              ("c_u", "c_u", 0.3)])
+def test_sweep_point_matches_run_experiment(axis, field, value):
+    assert SWEEP_AXES[axis] == field
+    config = small_l1_config(n=1500, d=3, trials=3)
+    got = sweep(config, axis, [value])[0]
+    want = run_experiment(dataclasses.replace(config, **{field: value}))
+    assert got.trials == want.trials
+    assert got.aggregates == want.aggregates
 
 
 def test_eps_sweep_queries_scale_like_eps_minus_two():
