@@ -374,6 +374,9 @@ def _cmd_sweep(args) -> int:
     config = preset_config(args.preset, **_overrides(args))
     values = [float(v) for v in args.values.split(",") if v]
     reports = sweep(config, args.axis, values)
+    if reports and args.metric not in reports[0].aggregates:
+        raise ValueError(f"--metric {args.metric!r} is not reported; choose from "
+                         f"{sorted(reports[0].aggregates)}")
     rows = sweep_summary(args.axis, values, reports, args.metric)
     ys = [row[args.metric] for row in rows]
     slope = None

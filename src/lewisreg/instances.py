@@ -18,9 +18,6 @@ _NS_OUTLIER = 0x44
 _NS_LABELS = 0x55
 _NS_COIN = 0x66
 
-# The coin game draws about this many label uniforms per block.
-_COIN_BLOCK = 1 << 22
-
 
 @dataclass(frozen=True)
 class GeneratedInstance:
@@ -133,40 +130,50 @@ def sign_recovery_experiment(
 ) -> float:
     """Win rate of majority-of-m-uniform-queries against the biased label coin.
 
-    Each trial hides a uniformly random sign alpha, draws the queried labels
-    i.i.d. +1 with probability 1/2 + alpha*eps, and guesses the majority sign
-    (a fair coin on ties and for m = 0). Returns the fraction of correct
-    guesses over `trials`.
+    Each trial hides a uniformly random sign alpha and guesses the majority
+    sign of m labels that are +1 with probability 1/2 + alpha*eps (a fair
+    coin on ties and for m = 0). The guess reads only the count of +1s, so
+    each trial draws that Binomial count from one uniform by exact inversion.
+    Returns the fraction of correct guesses, and nan for zero trials.
     """
-    if m_queries > n_prime:
-        raise ValueError("cannot query more labels than exist")
-    if not 0.0 < eps <= 0.5:
-        raise ValueError(f"eps must be in (0, 0.5], got {eps}")
-    coin_seed = rng.derive(seed, _NS_COIN)
-    alpha = np.where(
-        rng.uniform_array(coin_seed, np.arange(trials, dtype=np.uint64), 0) < 0.5,
-        -1.0, 1.0,
-    )
-    probs = 0.5 + alpha * eps
-    counts = np.zeros(trials, dtype=np.int64)
-    label_seed = rng.derive(seed, _NS_LABELS)
-    cols_per_block = max(1, _COIN_BLOCK // max(trials, 1))
-    streams = np.arange(trials, dtype=np.uint64)[:, None]
-    start = 0
-    while start < m_queries:
-        width = min(cols_per_block, m_queries - start)
-        counters = np.arange(start, start + width, dtype=np.uint64)[None, :]
-        u = rng.uniform_array(label_seed, streams, counters)
-        counts += np.sum(u < probs[:, None], axis=1)
-        start += width
+    if trials < 0 or not 0 <= m_queries <= n_prime:
+        raise ValueError(f"need trials >= 0 and 0 <= m_queries <= n_prime={n_prime}, "
+                         f"got trials={trials}, m_queries={m_queries}")
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 0.5), got {eps}")
+    streams = np.arange(trials, dtype=np.uint64)
+    alpha = np.where(rng.uniform_array(rng.derive(seed, _NS_COIN), streams, 0) < 0.5,
+                     -1.0, 1.0)
+    u = rng.uniform_array(rng.derive(seed, _NS_LABELS), streams, 0)
+    counts = _binomial_inverse(u, m_queries, 0.5 + alpha * eps)
     minority = m_queries - counts
     guess = np.where(counts > minority, 1.0, -1.0)
     ties = counts == minority
-    if ties.any():
-        flip = rng.uniform_array(rng.derive(seed, _NS_COIN, 1),
-                                 np.arange(trials, dtype=np.uint64)[ties], 0)
-        guess[ties] = np.where(flip < 0.5, -1.0, 1.0)
-    return float(np.mean(guess == alpha))
+    flip = rng.uniform_array(rng.derive(seed, _NS_COIN, 1), streams[ties], 0)
+    guess[ties] = np.where(flip < 0.5, -1.0, 1.0)
+    return float(np.mean(guess == alpha)) if trials else math.nan
+
+
+def _binomial_inverse(u: np.ndarray, m: int, q: np.ndarray) -> np.ndarray:
+    """Binomial(m, q) counts: the smallest k with CDF(k) >= u, for u on the 2^-53 grid.
+
+    Above u = 1/2 the mirrored coin is inverted at 1 - u (CDF(k) > u: the same
+    count unless u is a CDF value), so each tail keeps its relative accuracy.
+    The ceiling of `bdtrik` is the count or one above it, which one `bdtr` test
+    on k - 1 settles; each count is then certified, so a failed inversion raises.
+    """
+    from scipy.special import bdtr, bdtrik  # not loaded by `import lewisreg`
+
+    upper = u > 0.5
+    v = np.where(upper, 1.0 - u, u)
+    r = np.where(upper, 1.0 - q, q)
+    # with v = 0 or no labels the count is 0 (bdtrik is unreliable or nan there)
+    k = np.clip(np.where((v > 0) & (m > 0), np.ceil(bdtrik(v, m, r)), 0.0), 0, m)
+    k -= bdtr(k - 1, m, r) >= v
+    # CDF(k - 1) < v <= CDF(k); bdtr is nan at k = -1 and for a non-finite k
+    if not np.all((bdtr(k, m, r) >= v) & ~(bdtr(k - 1, m, r) >= v)):
+        raise FloatingPointError("binomial inversion failed its CDF check")
+    return np.where(upper, m - k, k).astype(np.int64)
 
 
 def per_block_solve(lb: LowerBoundInstance) -> np.ndarray:

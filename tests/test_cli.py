@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,11 +140,18 @@ def test_verify_matches_run_experiment(tmp_path, capsys, check, p):
     assert payload == {"check": check, "eps": 0.3, "trials": 3, **expected}
 
 
-def test_run_zero_trials_vacuous_pass(capsys):
-    code, out = run(capsys, "run", "--preset", "l1-accept", "--trials", "0",
-                    "--n", "500", "--d", "3")
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid strict JSON")
+
+
+@pytest.mark.parametrize("preset", ["l1-accept", "coin-accept"])
+def test_run_zero_trials_vacuous_pass(capsys, preset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "run", "--preset", preset, "--trials", "0",
+                        "--n", "500", "--d", "3")
     assert code == 0
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["trials"] == []
     assert payload["passed"] is True
 
@@ -180,6 +188,16 @@ def test_sweep_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "sweep.json.csv").read_text().strip().splitlines()
     assert lines[0] == "m,median_violation,pass_fraction"
     assert len(lines) == 3
+
+
+def test_sweep_rejects_a_metric_the_family_does_not_report(capsys):
+    code = main(["sweep", "--preset", "l1-accept", "--n", "600", "--d", "3",
+                 "--trials", "2", "--axis", "eps", "--values", "0.2,0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "'median_violation' is not reported" in captured.err
+    assert "median_ratio" in captured.err
 
 
 def test_usage_error_exit_2(capsys):

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lewisreg import experiments, realize, rng
+from lewisreg import experiments, lewis_weights, realize, rng
 from lewisreg.experiments import (
     SCHEMA_VERSION,
     SWEEP_AXES,
@@ -55,6 +55,28 @@ def test_uniform_plan_needs_no_lewis_weights(monkeypatch):
     config = ExperimentConfig(family="embed", n=500, d=3, scheme="uniform", m_target=60.0)
     plan = _plan(config, None, 1.0, config.scheme)
     assert plan.m == 60
+
+
+def test_ruc_plan_follows_p(monkeypatch):
+    # Above p = 1 the ruc family samples by the p-Lewis weights (Poisson Lp),
+    # as the paper's lp analysis does; at p = 1 by the L1 Lewis weights.
+    seen = []
+
+    def record_lewis(A, p, *args, **kwargs):
+        seen.append(("lewis", p))
+        return lewis_weights(A, p, *args, **kwargs)
+
+    def record_realize(plan, seed):
+        seen.append(("realize", plan.scheme))
+        return realize(plan, seed)
+
+    monkeypatch.setattr(experiments, "lewis_weights", record_lewis)
+    monkeypatch.setattr(experiments, "realize", record_realize)
+    for p, scheme in ((1.5, "poisson-lp"), (1.0, "bernoulli-l1")):
+        seen.clear()
+        run_experiment(preset_config("scaling-ruc", n=600, d=3, p=p, trials=1,
+                                     directions=4))
+        assert seen == [("lewis", p), ("realize", scheme)]
 
 
 def test_report_embeds_config_and_version():

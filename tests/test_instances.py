@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.special
+from scipy.special import bdtr, bdtrc, gammaln
 
 from lewisreg import (
     gen_lower_bound,
@@ -12,7 +14,7 @@ from lewisreg import (
     weighted_lp_loss,
 )
 from lewisreg import rng
-from lewisreg.instances import per_block_solve
+from lewisreg.instances import _NS_COIN, _NS_LABELS, _binomial_inverse, per_block_solve
 
 
 def test_noiseless_instance_has_zero_optimum():
@@ -126,6 +128,80 @@ def test_sign_recovery_reproducible_and_validated():
     assert a == b
     with pytest.raises(ValueError):
         sign_recovery_experiment(10, 0.1, 11, 5)
+    with pytest.raises(ValueError):
+        sign_recovery_experiment(10, 0.1, -1, 5)
+    with pytest.raises(ValueError):
+        sign_recovery_experiment(10, 0.1, 5, -1)
+    with pytest.raises(ValueError):   # a deterministic coin has no binomial to invert
+        sign_recovery_experiment(10, 0.5, 5, 5)
+
+
+def _log_space_inverse(u, m, q):
+    """Smallest k with CDF(k) >= u, from the cumulative pmf summed in log space."""
+    k = np.arange(m + 1)
+    log_pmf = (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+               + k * np.log(q) + (m - k) * np.log1p(-q))
+    cdf = np.exp(np.logaddexp.accumulate(log_pmf))
+    return np.minimum(np.searchsorted(cdf, u, side="left"), m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 25, 1000, 20_000])
+@pytest.mark.parametrize("q", [0.48, 0.52, 0.6])
+def test_binomial_inverse_matches_log_space_cdf(m, q):
+    u = rng.uniform_array(rng.derive(7, m), np.arange(20_000, dtype=np.uint64), 0)
+    got = _binomial_inverse(u, m, np.full(u.size, q))
+    assert int(np.sum(got != _log_space_inverse(u, m, q))) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 25, 1000, 20_000])
+@pytest.mark.parametrize("q", [0.48, 0.52, 0.6])
+def test_binomial_inverse_edges(m, q):
+    low, high = _binomial_inverse(np.array([0.0, 1.0 - 2.0**-53]), m, np.full(2, q))
+    assert low == 0
+    # the largest uniform: P(X > k) < 2^-53 <= P(X > k - 1), read from the
+    # upper tail, which keeps its accuracy where the CDF rounds to 1
+    assert bdtrc(high, m, q) < 2.0**-53 <= bdtrc(high - 1, m, q)
+    if m <= 25:
+        assert high == m
+    # u on a CDF value: bdtrik's ceiling mostly lands one above the count.
+    # Uniforms are multiples of 2^-53, and the half up to 1/2 takes CDF(k) >= u.
+    k = np.arange(m + 1)
+    cdf = bdtr(k, m, q)
+    lower = (cdf >= 2.0**-53) & (cdf <= 0.5)
+    assert np.array_equal(_binomial_inverse(cdf[lower], m, np.full(lower.sum(), q)), k[lower])
+
+
+def test_binomial_inverse_never_guesses_from_nan(monkeypatch):
+    monkeypatch.setattr(scipy.special, "bdtrik", lambda y, n, p: np.full(np.shape(y), np.nan))
+    with pytest.raises(FloatingPointError):
+        _binomial_inverse(np.array([0.25, 0.75]), 25, np.array([0.52, 0.48]))
+
+
+def test_sign_recovery_matches_exact_majority_probability():
+    # Win rate at m = 25 (odd, so no ties) is P(Binomial(25, 1/2 + eps) > 12).
+    trials, eps = 20_000, 0.02
+    exact = 1.0 - bdtr(12, 25, 0.5 + eps)
+    se = np.sqrt(exact * (1.0 - exact) / trials)
+    rate = sign_recovery_experiment(25, eps, 25, trials, seed=4)
+    assert abs(rate - exact) <= 4 * se
+
+
+def test_sign_recovery_flips_a_fair_coin_on_ties():
+    # Replays the game's streams at an even m: every tie takes its guess from
+    # the flip stream, and the flips go both ways.
+    seed, m, eps, trials = 5, 2, 0.1, 4000
+    streams = np.arange(trials, dtype=np.uint64)
+    alpha = np.where(rng.uniform_array(rng.derive(seed, _NS_COIN), streams, 0) < 0.5,
+                     -1.0, 1.0)
+    u = rng.uniform_array(rng.derive(seed, _NS_LABELS), streams, 0)
+    counts = _binomial_inverse(u, m, 0.5 + alpha * eps)
+    guess = np.sign(2 * counts - m).astype(np.float64)
+    ties = guess == 0
+    flip = rng.uniform_array(rng.derive(seed, _NS_COIN, 1), streams[ties], 0)
+    guess[ties] = np.where(flip < 0.5, -1.0, 1.0)
+    assert 0.4 < ties.mean() < 0.6
+    assert 0.4 < np.mean(guess[ties] == 1.0) < 0.6
+    assert sign_recovery_experiment(m, eps, m, trials, seed=seed) == np.mean(guess == alpha)
 
 
 # sha256 of A then y, as little-endian doubles in row order. These define

@@ -27,3 +27,29 @@ def test_import_loads_no_scipy():
     ])
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def _module_level(node):
+    """The nodes that run on import: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # test_import_loads_no_scipy only sees what `import lewisreg` pulls in;
+    # this covers every module, the CLI's included.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in _module_level(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"module-level scipy imports at {found}"
