@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("p must be in [1, 2]")
         if self.family == "cross" and not 1.0 < self.p < 2.0:
             raise ValueError("cross-term experiments need p in (1, 2)")
+        if self.m_target is not None and not (math.isfinite(self.m_target) and self.m_target > 0):
+            raise ValueError(f"m_target must be finite and positive, got {self.m_target}")
 
 
 @dataclass

@@ -3,8 +3,9 @@
 The label vector of a RegressionInstance is private; the only sanctioned read
 path for algorithms is `query`, which meters distinct indices against an
 optional budget. A QueryLedger holds the metered indices in one int64 array,
-8 bytes per label. `active_solve` realizes a label-oblivious plan, queries
-exactly the support, and solves the reweighted problem on those rows.
+which may be a realized sketch's read-only support held by reference.
+`active_solve` realizes a label-oblivious plan, queries exactly the support,
+and solves the reweighted problem on those rows.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class RegressionInstance:
 class QueryLedger:
     """The distinct label indices read so far, against an optional budget.
 
-    The indices are kept in first-seen order in one int64 array, 8 bytes per
-    metered label; only `query` extends it.
+    The indices are kept in first-seen order in one int64 array; only `query`
+    extends it. That array may be the read-only support the ledger metered
+    first, held by reference.
     """
 
     budget: int | None = None
@@ -71,25 +73,40 @@ def query(instance: RegressionInstance, ledger: QueryLedger, i) -> float | np.nd
     """Return the labels at one index or a 1-D array of indices, and meter them.
 
     Returns a float for one index and an array otherwise. New indices are
-    appended to the ledger's int64 array in first-seen order, 8 bytes each;
-    repeat queries of the same index are free. An index out of range raises
-    IndexError, and the first new index past the budget raises
-    BudgetExceededError, each after metering the new indices before it, as
-    reading them one at a time would.
+    appended to the ledger's int64 array in first-seen order; repeat queries
+    of the same index are free. Indices must be integers: any other dtype
+    raises ValueError before anything is metered (an empty input is valid).
+    An index out of range raises IndexError, and the first new index past the
+    budget raises BudgetExceededError, each after metering the new indices
+    before it, as reading them one at a time would.
+
+    An empty ledger that meters a strictly increasing, read-only array which
+    owns its data (as `realize` returns) holds that array, or its metered
+    prefix, by reference; every other input is copied.
     """
     idx = np.asarray(i)
     if idx.ndim > 1:
         raise ValueError(f"label indices must be a scalar or 1-D, got shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"label indices must be integers, got dtype {idx.dtype}")
     flat = idx.astype(np.int64, copy=False).reshape(-1)
     bad = np.flatnonzero((flat < 0) | (flat >= instance.n))
     head = flat[:bad[0]] if bad.size else flat
-    first = np.sort(np.unique(head, return_index=True)[1])
-    new = head[first]
+    # A strictly increasing prefix is already distinct and in first-seen order.
+    if np.all(head[1:] > head[:-1]):
+        new = head
+    else:
+        new = head[np.sort(np.unique(head, return_index=True)[1])]
     if ledger.count:
         new = new[~np.isin(new, ledger._indices)]
     room = new.size if ledger.budget is None else max(ledger.budget - ledger.count, 0)
     if room and new.size:
-        ledger._indices = np.concatenate((ledger._indices, new[:room]))
+        # `new is head` only for an empty ledger and a strictly increasing
+        # prefix; a read-only input that owns its data is then shared.
+        if new is head and not idx.flags.writeable and idx.flags.owndata:
+            ledger._indices = new[:room]
+        else:
+            ledger._indices = np.concatenate((ledger._indices, new[:room]))
     if new.size > room:
         raise BudgetExceededError(
             f"query budget {ledger.budget} exhausted at index {new[room]}"

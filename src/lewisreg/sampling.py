@@ -66,6 +66,20 @@ class Sketch:
     seed: int
     plan_hash: str
 
+    def __post_init__(self):
+        idx, w = self.indices, self.weights
+        if not isinstance(idx, np.ndarray) or idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError("sketch indices must be a 1-D integer array")
+        if not isinstance(w, np.ndarray) or w.shape != idx.shape:
+            raise ValueError("sketch weights must be a 1-D array as long as the indices")
+        if idx.size and idx[0] < 0:
+            raise ValueError("sketch indices must be nonnegative")
+        if np.any(idx[1:] <= idx[:-1]):
+            raise ValueError("sketch indices must be strictly increasing")
+        # NaN fails both comparisons
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise ValueError("sketch weights must be finite and positive")
+
     @property
     def support_size(self) -> int:
         return int(self.indices.size)
@@ -167,7 +181,7 @@ def realize(plan: SamplePlan, seed: int) -> Sketch:
 
     Bernoulli and Poisson rows are drawn `rng.DRAW_BLOCK` rows at a time and
     each block keeps only its rows in the support, so apart from the plan
-    nothing of size n is held.
+    nothing of size n is held. The sketch's arrays are read-only.
     """
     if plan.scheme == BERNOULLI_L1:
         probs = plan.params
@@ -186,12 +200,10 @@ def realize(plan: SamplePlan, seed: int) -> Sketch:
         m = int(round(plan.m))
         idx = rng.choose_prefix(seed, plan.n, m)
         weights = np.full(idx.size, plan.n / m)
-    return Sketch(
-        indices=idx.astype(np.int64),
-        weights=weights,
-        seed=seed,
-        plan_hash=plan.digest,
-    )
+    idx = idx.astype(np.int64, copy=False)
+    # Read-only, so a ledger may hold the support by reference (see `query`).
+    idx.flags.writeable = weights.flags.writeable = False
+    return Sketch(indices=idx, weights=weights, seed=seed, plan_hash=plan.digest)
 
 
 def support_size_bound(plan: SamplePlan, delta: float) -> float:

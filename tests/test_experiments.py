@@ -36,6 +36,14 @@ def test_config_validation():
     # A misspelt scheme must not fall through to a Bernoulli plan.
     with pytest.raises(ValueError, match="scheme"):
         ExperimentConfig(family="embed", scheme="poisson").validate()
+    # A sample-size target must be a positive number, whichever family reads it.
+    for m in (0.0, -5.0, float("nan"), float("inf")):
+        for family, scheme in (("l1-endtoend", "bernoulli-l1"), ("lp-endtoend", "poisson-lp"),
+                               ("embed", "uniform")):
+            config = ExperimentConfig(family=family, scheme=scheme, p=1.5, m_target=m)
+            with pytest.raises(ValueError, match="m_target"):
+                config.validate()
+    ExperimentConfig(m_target=0.5).validate()
 
 
 def test_run_trials_rejects_shape_mismatch():

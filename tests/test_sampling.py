@@ -16,7 +16,7 @@ from lewisreg import (
     weighted_lp_loss,
 )
 from lewisreg.rng import DRAW_BLOCK, POISSON_INVERSION_CUTOFF
-from lewisreg.sampling import POISSON_LP
+from lewisreg.sampling import POISSON_LP, Sketch
 
 
 def test_plan_l1_uniform_below_threshold():
@@ -233,6 +233,53 @@ def test_sketch_indices_sorted_unique_positive_weights():
     assert np.all(sk.weights > 0)
     # zero-weight rows can never enter the support
     assert not np.intersect1d(sk.indices, np.nonzero(w == 0)[0]).size
+
+
+@pytest.mark.parametrize("plan", [
+    plan_l1(np.full(300, 0.05), u_override=0.5),
+    plan_lp(np.full(300, 0.05), d=4, p=1.5, m_override=100.0),
+    plan_uniform(300, 40),
+], ids=["bernoulli", "poisson", "uniform"])
+def test_realized_arrays_are_read_only(plan):
+    sk = realize(plan, 5)
+    assert sk.support_size > 0
+    # Read-only arrays that own their data: a ledger may hold the indices.
+    assert sk.indices.flags.owndata and sk.weights.flags.owndata
+    with pytest.raises(ValueError, match="read-only"):
+        sk.indices[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        sk.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("indices, weights, match", [
+    (np.array([[0, 1]]), np.ones((1, 2)), "1-D integer"),
+    (np.array([0.0, 1.0]), np.ones(2), "1-D integer"),
+    ([0, 1], np.ones(2), "1-D integer"),
+    (np.array([0, 1]), np.ones(3), "as long as"),
+    (np.array([0, 1]), np.ones((2, 1)), "as long as"),
+    (np.array([-1, 1]), np.ones(2), "nonnegative"),
+    (np.array([0, 2, 2]), np.ones(3), "strictly increasing"),
+    (np.array([0, 3, 1]), np.ones(3), "strictly increasing"),
+    (np.array([0, 1]), np.array([1.0, 0.0]), "finite and positive"),
+    (np.array([0, 1]), np.array([1.0, -2.0]), "finite and positive"),
+    (np.array([0, 1]), np.array([np.nan, 1.0]), "finite and positive"),
+    (np.array([0, 1]), np.array([1.0, np.inf]), "finite and positive"),
+])
+def test_sketch_rejects_invalid_state(indices, weights, match):
+    with pytest.raises(ValueError, match=match):
+        Sketch(indices=indices, weights=weights, seed=0, plan_hash="bad")
+
+
+def test_sketch_keeps_the_callers_arrays():
+    # Validation neither copies the arrays nor changes their flags; only
+    # `realize` makes its own arrays read-only.
+    idx, w = np.array([0, 4, 9], dtype=np.int32), np.full(3, 2.0)
+    sk = Sketch(indices=idx, weights=w, seed=0, plan_hash="ok")
+    assert sk.indices is idx and sk.weights is w
+    assert idx.flags.writeable and w.flags.writeable
+    empty = Sketch(indices=np.empty(0, dtype=np.int64), weights=np.empty(0), seed=0,
+                   plan_hash="empty")
+    assert empty.support_size == 0
 
 
 def test_uniform_scheme():
