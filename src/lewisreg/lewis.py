@@ -108,18 +108,23 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     # max(max, -min) is the max-abs, read without an |B| pass.
     scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))[1]
     np.ldexp(B, -scale[:, None], out=B)
-    x = np.full(m, math.log(d / m))
-    # The mixing history: the last `held` differences of f and of g = x + f,
-    # oldest first, and f and g of the previous iterate.
-    dF, dG, prev = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
+    # Every m-vector of the iteration is a row of one work block, allocated
+    # once: numpy asks for huge pages at 4 MB and more, which vectors of a
+    # few MB each would not get. The rows are the iterate x, the step f, the
+    # kernel's scaling v, a temporary, f and g = x + f of the previous
+    # iterate, the iterate with the smallest residual so far (returned on a
+    # stall stop), and the mixing history: the last `held` differences of f
+    # and of g, oldest first.
+    work = np.empty((11, m))
+    x, f, v, tmp, f_prev, g_prev, x_best = work[:7]
+    dF, dG = work[7:9], work[9:]
+    x.fill(math.log(d / m))
     held, last = 0, math.inf
-    # The iterate with the smallest residual so far, returned on a stall stop.
-    x_best = np.empty(m)
     residual, best, stalled, iterations = math.inf, math.inf, 0, 0
     for iterations in range(1, max_iter + 1):
         # tau are the leverage scores of W^(1/2-1/p) A, so the fixed-point
         # ratio a_i^T (...)^(-1) a_i / w_i^(2/p) equals tau_i / w_i.
-        f = _scaled_leverage(B, x, p, tol, X)
+        _scaled_leverage(B, x, p, tol, X, f, v)
         with np.errstate(divide="ignore", over="ignore"):
             np.log(f, out=f)
             f -= x
@@ -146,20 +151,25 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
             if held == 2:
                 dF[0], dG[0] = dF[1], dG[1]
                 held = 1
-            np.subtract(f, prev[0], out=dF[held])
-            np.subtract(x, prev[1], out=dG[held])
+            np.subtract(f, f_prev, out=dF[held])
+            np.subtract(x, g_prev, out=dG[held])
             held += 1
-        prev[0], prev[1] = f, x
         last = residual
         if held:
             gamma = np.linalg.lstsq(dF[:held] @ dF[:held].T, dF[:held] @ f, rcond=None)[0]
-            x -= gamma @ dG[:held]
-        x -= math.log(np.sum(np.exp(x)) / d)
+            # The mixed iterate goes to g_prev's row, and g stays as g_prev.
+            np.subtract(x, np.matmul(gamma, dG[:held], out=tmp), out=g_prev)
+            x, g_prev = g_prev, x
+        else:
+            np.copyto(g_prev, x)
+        f, f_prev = f_prev, f
+        x -= math.log(np.sum(np.exp(x, out=tmp)) / d)
+    np.exp(x, out=x)
     # Freed before the result is allocated, so `full` does not land above
     # these buffers and pin the heap once they are released.
-    del X, B, dF, dG, prev, x_best
+    del X, B
     full = np.zeros(n)
-    full[nz] = np.exp(x)
+    full[nz] = x
     return LewisWeights(
         p=p,
         w=full,
@@ -197,16 +207,17 @@ def _nonzero_rows_transposed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
-                     X: np.ndarray) -> np.ndarray:
+                     X: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Leverage scores of the columns of B diag(v), v = exp((1/2 - 1/p) x).
 
-    Two passes over blocks of `_BLOCK` columns, each through the d x block
-    work buffer X. The first forms X_b = B_b diag(v_b) and sums the Gram
-    matrix G = sum_b X_b X_b^T. The second writes M^T B_b, for an M with
-    M^T G M = I, so that tau_b = v_b^2 * colsum((M^T B_b)^2). M = D L^(-T)
-    from the equilibrated Gram matrix while eps * cond(D G D) stays a
-    hundredth of `tol`, so a residual it reports below `tol` is one a QR
-    would report too; otherwise M = R^(-1) from `_qr_inverse` of X within
+    The scores are written to tau and the scaling to v, both m-vectors, and
+    tau is returned. Two passes over blocks of `_BLOCK` columns, each through
+    the d x block work buffer X. The first forms X_b = B_b diag(v_b) and sums
+    the Gram matrix G = sum_b X_b X_b^T. The second writes M^T B_b, for an M
+    with M^T G M = I, so that tau_b = v_b^2 * colsum((M^T B_b)^2).
+    M = D L^(-T) from the equilibrated Gram matrix while eps * cond(D G D)
+    stays a hundredth of `tol`, so a residual it reports below `tol` is one a
+    QR would report too; otherwise M = R^(-1) from `_qr_inverse` of X within
     one block, or of the blocks' stacked triangular factors beyond.
     """
     d, m = B.shape
@@ -214,7 +225,7 @@ def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
     # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
     # factorization rejects, or a non-finite tau, which the caller rejects.
     with np.errstate(all="ignore"):
-        v = np.exp((0.5 - 1.0 / p) * x)
+        np.exp(np.multiply(x, 0.5 - 1.0 / p, out=v), out=v)
         G = np.zeros((d, d))
         for start, stop in blocks:
             Xb = X[:, :stop - start]
@@ -231,7 +242,6 @@ def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
     # With one block, X already holds B diag(v) from the first pass.
     Mt = (np.linalg.inv(L) * D if accurate
           else _qr_inverse(X if len(blocks) == 1 else _stacked_r(B, v, X, blocks)))
-    tau = np.empty(m)
     for start, stop in blocks:
         Xb = X[:, :stop - start]
         np.matmul(Mt, B[:, start:stop], out=Xb)

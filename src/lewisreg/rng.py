@@ -6,11 +6,11 @@ row order, gives bit-identical output to the serial path. The generator is
 plain 64-bit integer arithmetic (no platform-dependent state), pinned by the
 test vectors in tests/test_rng.py.
 
-Scalar helpers use Python ints; the `*_array` variants are vectorized numpy
-uint64 implementations of the same arithmetic (wrapping is identical).
-Draws over many rows (normals, Poisson counts) run DRAW_BLOCK values or rows
-at a time in elementwise arithmetic, so their temporaries take one block of
-memory, not n, and their values do not depend on the block size.
+Scalar helpers use Python ints; the `*_array` variants are the same wrapping
+uint64 arithmetic in numpy. Draws over many rows (normals, Poisson counts)
+run DRAW_BLOCK values or rows at a time in elementwise arithmetic, so their
+temporaries take one block of memory, not n, and their values do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def _to_uniform(z: np.ndarray) -> np.ndarray:
 
 def uniform_array(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorized `uniform`; `streams` and `counters` broadcast together."""
-    base = _stream_base_array(seed, np.asarray(streams, dtype=np.uint64))
-    c = np.asarray(counters, dtype=np.uint64)
-    return _to_uniform(_mix64_array(np.asarray(base + (c + np.uint64(1)) * _U_GOLDEN)))
+    c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN
+    # Unnamed, the stream bases are freed before the sum is mixed.
+    z = _stream_base_array(seed, np.asarray(streams, dtype=np.uint64)) + c
+    return _to_uniform(_mix64_array(np.asarray(z)))
 
 
 def derive(seed: int, *parts: int) -> int:
@@ -189,16 +190,19 @@ def choose_prefix(seed: int, n: int, m: int) -> np.ndarray:
     return np.sort(out)
 
 
-def _poisson_inversion_array(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact Poisson counts by CDF inversion; requires lam < ~30 for accuracy."""
-    k = np.zeros(lam.shape, dtype=np.int64)
-    prob = np.exp(-lam)
-    cdf = prob.copy()
-    # Rows still below their uniform; most stop at k = 0, and each pass
-    # touches only the rows left.
+def _poisson_continue(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson counts by CDF inversion of rows whose uniform u reached exp(-lam).
+
+    Those rows have a positive count, so each starts at k = 1; each pass then
+    steps on only the rows still at or above their CDF. Accurate for lam < ~30.
+    """
+    k = np.ones(lam.shape, dtype=np.int64)
+    cdf = np.exp(-lam)
+    prob = cdf * lam            # the recursion's first step, prob * (lam / 1)
+    cdf += prob
     active = np.flatnonzero(u >= cdf)
-    # Terminates well before the cap: k stays within ~lam + O(sqrt(lam)).
-    for _ in range(2000):
+    # k stays near lam + O(sqrt(lam)); where the CDF rounds short of u, k stops at 2000.
+    for _ in range(1999):
         if active.size == 0:
             break
         k[active] += 1
@@ -233,41 +237,36 @@ def _poisson_ptrs(lam: float, stream: ScalarStream) -> int:
 def poisson_support(seed: int, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows with a positive Poisson count, increasing, and their counts.
 
-    Row i's count is drawn from stream i with rate rates[i]. Rates below
-    POISSON_INVERSION_CUTOFF use single-uniform inversion (vectorized,
-    DRAW_BLOCK rows at a time); larger rates fall back to the scalar
-    rejection sampler. Either way the draw depends only on (seed, i,
-    rates[i]). Each block keeps only its positive rows, so nothing of size n
-    is allocated. A negative or non-finite rate raises ValueError.
+    Row i's count depends only on (seed, i, rates[i]); rows are drawn
+    DRAW_BLOCK at a time, so nothing of size n is allocated. Rates below
+    POISSON_INVERSION_CUTOFF hash one uniform u < 1 per row and continue the
+    inversion only where u >= exp(-rate), the rows with a positive count;
+    larger rates use the scalar rejection sampler on the row's stream. Rates
+    that are not 1-D, negative or non-finite raise ValueError.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    rows = [np.empty(0, dtype=np.int64)]
-    counts = [np.empty(0, dtype=np.int64)]
-    if rates.size:
-        # min and max are NaN or infinite exactly when some rate is.
-        lo, hi = np.min(rates), np.max(rates)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("Poisson rates must be finite")
-        if lo < 0:
-            raise ValueError("negative Poisson rate")
+    if rates.ndim != 1:
+        raise ValueError("Poisson rates must be a 1-D array")
+    rows, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # min and max are NaN or infinite exactly when some rate is.
+    lo, hi = (np.min(rates), np.max(rates)) if rates.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("Poisson rates must be finite")
+    if lo < 0:
+        raise ValueError("negative Poisson rate")
     for start in range(0, rates.size, DRAW_BLOCK):
         block = rates[start:start + DRAW_BLOCK]
-        k = np.zeros(block.size, dtype=np.int64)
-        idx = np.flatnonzero((block > 0) & (block < POISSON_INVERSION_CUTOFF))
-        if idx.size:
-            k[idx] = _poisson_inversion_array(block[idx], uniform_array(seed, idx + start, 0))
-        for i in np.flatnonzero(block >= POISSON_INVERSION_CUTOFF):
-            k[i] = _poisson_ptrs(float(block[i]), ScalarStream(seed, start + int(i)))
-        positive = np.flatnonzero(k)
-        rows.append(positive + start)
-        counts.append(k[positive])
+        u = uniform_array(seed, np.arange(start, start + block.size, dtype=np.uint64), 0)
+        idx = np.flatnonzero((u >= np.exp(-block)) & (block < POISSON_INVERSION_CUTOFF))
+        k = _poisson_continue(block[idx], u[idx])
+        large = np.flatnonzero(block >= POISSON_INVERSION_CUTOFF)
+        if large.size:
+            k_large = [_poisson_ptrs(float(block[i]), ScalarStream(seed, start + int(i)))
+                       for i in large]
+            idx, k = np.concatenate([idx, large]), np.concatenate([k, k_large])
+            order = np.argsort(idx)
+            order = order[k[order] > 0]
+            idx, k = idx[order], k[order]
+        rows.append(idx + start)
+        counts.append(k)
     return np.concatenate(rows), np.concatenate(counts)
-
-
-def poisson_array(seed: int, rates: np.ndarray) -> np.ndarray:
-    """Poisson counts, one per rate: the dense form of `poisson_support`."""
-    rates = np.asarray(rates, dtype=np.float64)
-    rows, counts = poisson_support(seed, rates)
-    k = np.zeros(rates.shape, dtype=np.int64)
-    k[rows] = counts
-    return k

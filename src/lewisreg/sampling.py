@@ -35,8 +35,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.scheme not in (BERNOULLI_L1, POISSON_LP, UNIFORM):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.params.size != self.n:
-            raise ValueError("params length must equal n")
+        if self.params.ndim != 1 or self.params.size != self.n:
+            raise ValueError("params must be a 1-D array of length n")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("plan params contain NaN or Inf")
         if np.any(self.params < 0.0):

@@ -32,6 +32,7 @@ from .lewis import _sup_ratio
 from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff
 from .oracle import RegressionInstance
 from .sampling import Sketch
+from .solvers import _duality_gap
 
 # Direction images are formed this many directions at a time. A block never
 # has fewer than _MIN_IMAGE_ROWS rows (the last absorbs a short remainder):
@@ -40,9 +41,11 @@ from .sampling import Sketch
 IMAGE_BLOCK = 8
 _MIN_IMAGE_ROWS = 4
 
-# cross_term_check rejects labels whose gradient at the fit, relative to
-# sum_i |psi_i| ||a_i||, exceeds this: they are not centered at the minimizer.
-_PRECONDITION_TOL = 1e-6
+# cross_term_check takes labels as centered at the minimizer when beta = 0 is
+# optimal for them to this relative duality gap, the solvers' default
+# tolerance. A relative gap g allows a relative gradient of order sqrt(g), so
+# the gradient is reported, not tested against a limit of its own.
+_CENTERING_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -305,23 +308,24 @@ def cross_term_check(
     """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta.
 
     Requires y_centered to be the residual at the full-data minimizer so the
-    unweighted cross term vanishes identically. The weighted one is v^T beta
-    for a fixed v, so its normalized supremum is the exact
-    sup_beta |v^T beta|^p / ||A beta||_p^p, solved as a constrained Lp
-    regression.
+    unweighted cross term vanishes identically: the duality gap of beta = 0
+    on these labels, the solvers' certificate, must be at most
+    `_CENTERING_GAP`. The weighted one is v^T beta for a fixed v, so its
+    normalized supremum is the exact sup_beta |v^T beta|^p / ||A beta||_p^p,
+    solved as a constrained Lp regression.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must be in (1, 2), got {p}")
     A = as_matrix(A)
     y = as_vector(y_centered, "y_centered")
     psi = p * np.abs(y) ** (p - 1.0) * np.sign(y)
+    # At beta = 0 the residual is -y, whose loss gradient is -psi.
+    gap = _duality_gap(A, y, np.ones(y.size), p, np.zeros(A.shape[1]), -psi)[0]
+    if gap > _CENTERING_GAP:
+        raise ValueError(f"labels are not centered at the minimizer: duality gap {gap:.2e}")
     grad = A.T @ psi
     scale = float(np.sum(np.abs(psi) * np.linalg.norm(A, axis=1)))
     rel = float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0
-    if rel > _PRECONDITION_TOL:
-        raise ValueError(
-            f"labels are not centered at the minimizer: gradient residual {rel:.2e}"
-        )
     v = A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
     y_norm = lp_norm(y, p)
     if y_norm == 0 or not np.any(v):

@@ -158,6 +158,19 @@ def test_ratio_close_to_one_with_generous_budget():
     assert np.median(ratios) < 1.05
 
 
+def test_scaling_cross_runs_at_seed_3():
+    # The full-data solve stops certified at duality gap 8.8e-12, where the
+    # relative gradient is still 1.7e-6. Centering is judged by that gap, so
+    # this seed runs instead of raising "labels are not centered".
+    config = preset_config("scaling-cross", seed=3, trials=2)
+    inst = _random_instance(config)
+    full = experiments._full_minimizer(inst)
+    assert full.status == "converged" and full.gap < 1e-10
+    rep = run_experiment(config)
+    assert len(rep.trials) == 2
+    assert all(0.0 < t["max_ratio"] < 1.0 for t in rep.trials)
+
+
 # sha256 of the realized `indices` of trials 0-3, as int64 bytes in trial
 # order, at schema version 2.
 PRESET_SKETCH_DIGESTS = {

@@ -360,8 +360,8 @@ def test_collinear_columns_stop_at_rounding_floor(monkeypatch, p, gap):
     seen = []
     leverage = lewis_module._scaled_leverage
 
-    def recording(B, x, p, tol, X):
-        tau = leverage(B, x, p, tol, X)
+    def recording(B, x, p, tol, X, tau, v):
+        leverage(B, x, p, tol, X, tau, v)
         with np.errstate(divide="ignore", over="ignore"):
             f = np.log(tau) - x
             residual = float(np.max(np.abs(np.expm1([f.min(), f.max()]))))

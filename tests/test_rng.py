@@ -68,27 +68,42 @@ def test_normal_matrix_moments():
     assert abs(z.std() - 1.0) < 0.02
 
 
+def _poisson_counts(seed, rates):
+    """Dense counts from `poisson_support`, one per rate."""
+    rows, counts = rng.poisson_support(seed, rates)
+    k = np.zeros(len(rates), dtype=np.int64)
+    k[rows] = counts
+    return k
+
+
 def test_poisson_moments_both_regimes():
     # inversion branch
-    k = rng.poisson_array(5, np.full(40000, 3.2))
+    k = _poisson_counts(5, np.full(40000, 3.2))
     assert k.mean() == pytest.approx(3.2, abs=0.05)
     assert k.var() == pytest.approx(3.2, rel=0.05)
     # rejection branch (rate above the cutoff)
-    k = rng.poisson_array(6, np.full(40000, 64.0))
+    k = _poisson_counts(6, np.full(40000, 64.0))
     assert k.mean() == pytest.approx(64.0, abs=0.3)
     assert k.var() == pytest.approx(64.0, rel=0.05)
 
 
 def test_poisson_zero_rate_and_validation():
-    assert rng.poisson_array(0, np.array([0.0, 0.0])).tolist() == [0, 0]
-    with pytest.raises(ValueError):
-        rng.poisson_array(0, np.array([-1.0]))
+    rows, counts = rng.poisson_support(0, np.array([0.0, 0.0]))
+    assert rows.tolist() == counts.tolist() == []
+    with pytest.raises(ValueError, match="negative"):
+        rng.poisson_support(0, np.array([-1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_poisson_rejects_non_finite_rates(bad):
     with pytest.raises(ValueError, match="finite"):
-        rng.poisson_array(0, np.array([1.0, bad, 40.0]))
+        rng.poisson_support(0, np.array([1.0, bad, 40.0]))
+
+
+@pytest.mark.parametrize("rates", [np.array(0.5), np.full((2, 3), 0.5)])
+def test_poisson_rejects_rates_that_are_not_1d(rates):
+    with pytest.raises(ValueError, match="1-D"):
+        rng.poisson_support(0, rates)
 
 
 def _poisson_inversion_full_mask(lam, u):
@@ -114,16 +129,25 @@ def test_poisson_inversion_matches_full_mask_loop():
                           np.zeros(lam.size, dtype=np.uint64))
     u[:200] = 1.0 - 2.0**-53        # deep tails
     u[200:400] = 0.0
-    k = rng._poisson_inversion_array(lam, u)
+    # The continuation sees only the rows whose count is positive.
+    passed = u >= np.exp(-lam)
+    k = np.zeros(lam.size, dtype=np.int64)
+    k[passed] = rng._poisson_continue(lam[passed], u[passed])
     np.testing.assert_array_equal(k, _poisson_inversion_full_mask(lam, u))
     assert k.max() > 40 and np.mean(k == 0) > 0.1
 
 
 def test_poisson_deterministic_per_row():
     rates = np.linspace(0.1, 40.0, 200)
-    a = rng.poisson_array(99, rates)
-    b = rng.poisson_array(99, rates)
-    np.testing.assert_array_equal(a, b)
+    a = rng.poisson_support(99, rates)
+    b = rng.poisson_support(99, rates)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    # Each row's count is its own: a prefix draws the same counts.
+    c = rng.poisson_support(99, rates[:150])
+    keep = a[0] < 150
+    np.testing.assert_array_equal(c[0], a[0][keep])
+    np.testing.assert_array_equal(c[1], a[1][keep])
 
 
 def test_poisson_support_rows_use_their_own_streams():
@@ -138,7 +162,7 @@ def test_poisson_support_rows_use_their_own_streams():
     want = {}
     for i in np.flatnonzero(rates):
         if rates[i] < rng.POISSON_INVERSION_CUTOFF:
-            k = rng._poisson_inversion_array(rates[i:i + 1],
+            k = _poisson_inversion_full_mask(rates[i:i + 1],
                                              np.array([rng.uniform(seed, int(i), 0)]))[0]
         else:
             k = rng._poisson_ptrs(float(rates[i]), rng.ScalarStream(seed, int(i)))
@@ -147,9 +171,49 @@ def test_poisson_support_rows_use_their_own_streams():
     got_rows, got_counts = rng.poisson_support(seed, rates)
     assert got_rows.tolist() == sorted(want)
     assert got_counts.tolist() == [want[i] for i in sorted(want)]
-    dense = rng.poisson_array(seed, rates)
-    assert np.flatnonzero(dense).tolist() == sorted(want)
     assert rng.poisson_support(seed, np.zeros(0))[0].size == 0
+
+
+def _poisson_support_two_stage(seed, rates):
+    """Reference: the earlier two-stage draw. Each block gathers its rows with
+    a rate in (0, cutoff), inverts all of them from k = 0 on their counter-0
+    uniforms, draws the larger rates by rejection, scatters every count into
+    a block-length array and searches that for the positive rows."""
+    rows, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start in range(0, rates.size, rng.DRAW_BLOCK):
+        block = rates[start:start + rng.DRAW_BLOCK]
+        k = np.zeros(block.size, dtype=np.int64)
+        idx = np.flatnonzero((block > 0) & (block < rng.POISSON_INVERSION_CUTOFF))
+        if idx.size:
+            k[idx] = _poisson_inversion_full_mask(
+                block[idx], rng.uniform_array(seed, idx + start, 0))
+        for i in np.flatnonzero(block >= rng.POISSON_INVERSION_CUTOFF):
+            k[i] = rng._poisson_ptrs(float(block[i]), rng.ScalarStream(seed, start + int(i)))
+        positive = np.flatnonzero(k)
+        rows.append(positive + start)
+        counts.append(k[positive])
+    return np.concatenate(rows), np.concatenate(counts)
+
+
+@pytest.mark.parametrize("seed", [0, 2021, 2**63 + 17])
+def test_poisson_support_matches_two_stage_reference(seed):
+    # Three blocks and a short last one, mixing zero rates, 1e-6 rates,
+    # rates up to either side of the cutoff and rejection-sampled rates.
+    n = 3 * rng.DRAW_BLOCK + 777
+    r = np.random.default_rng(seed % 2**32)
+    cutoff = rng.POISSON_INVERSION_CUTOFF
+    pools = [np.zeros(n), np.full(n, 1e-6), 1e-3 * r.random(n), 2.0 * r.random(n),
+             cutoff * r.random(n), cutoff + 40.0 * r.random(n),
+             np.full(n, np.nextafter(cutoff, 0.0)), np.full(n, cutoff)]
+    rates = np.choose(r.integers(0, len(pools), n), pools)
+    rates[rng.DRAW_BLOCK:2 * rng.DRAW_BLOCK] = 1e-6       # a nearly empty block
+    rows, counts = rng.poisson_support(seed, rates)
+    want_rows, want_counts = _poisson_support_two_stage(seed, rates)
+    assert rows.dtype == counts.dtype == np.int64
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(counts, want_counts)
+    assert np.all(counts > 0) and np.all(np.diff(rows) > 0)
+    assert counts.max() > 40 and np.any((rows >= n - 777) & (rates[rows] < 1.0))
 
 
 def test_choose_prefix_properties():

@@ -97,6 +97,18 @@ def test_sample_plan_rejects_invalid_params(scheme, params):
         SamplePlan(scheme=scheme, n=2, params=np.array(params))
 
 
+@pytest.mark.parametrize("scheme", ["bernoulli-l1", "poisson-lp", "uniform"])
+def test_sample_plan_rejects_params_that_are_not_1d(scheme):
+    # Before the check, realize raised a broadcast or index error on these,
+    # or (uniform) silently drew 3 rows of 6.
+    with pytest.raises(ValueError, match="1-D"):
+        SamplePlan(scheme=scheme, n=6, params=np.full((2, 3), 0.5), m=3.0)
+    with pytest.raises(ValueError, match="1-D"):
+        SamplePlan(scheme=scheme, n=1, params=np.array(0.5), m=1.0)
+    with pytest.raises(ValueError, match="length n"):
+        SamplePlan(scheme=scheme, n=6, params=np.full(5, 0.5), m=3.0)
+
+
 def test_sample_plan_accepts_boundary_params():
     SamplePlan(scheme="bernoulli-l1", n=2, params=np.array([0.0, 1.0]))
     SamplePlan(scheme="poisson-lp", n=2, params=np.array([0.0, 40.0]))
@@ -205,8 +217,8 @@ def test_realize_golden_hashes():
 
 def test_bernoulli_realize_peak_memory(traced_peak):
     # Rows are hashed DRAW_BLOCK at a time and the plan digest hashes the
-    # params in place, so the temporaries peak near six 8-byte block-vectors
-    # (6.08 measured) whatever n is. Unblocked they peaked at five n-vectors.
+    # params in place, so the temporaries peak near five 8-byte block-vectors
+    # (4.6 measured) whatever n is. Unblocked they peaked at five n-vectors.
     for n in (200_000, 500_000):
         plan = plan_l1(np.full(n, 10.0 / n), u_override=0.01)
         _, peak, _ = traced_peak(lambda: realize(plan, 7))
@@ -214,14 +226,15 @@ def test_bernoulli_realize_peak_memory(traced_peak):
 
 
 def test_poisson_realize_peak_memory(traced_peak):
-    # Each block keeps only its positive rows and counts, so the peak is the
-    # hashing and the inversion of one block plus the support (about 8000
-    # rows here): 8.5-8.7 8-byte block-vectors measured, whatever n is. With
-    # dense counts it was 9 bytes a row more; unblocked, 7.4 n-vectors.
+    # Each block hashes its rows once and continues the inversion only on
+    # its positive rows, so the peak is the hashing of one block plus the
+    # support (about 8000 rows here): 5.5-5.7 8-byte block-vectors measured,
+    # whatever n is. Inverting every positive rate with dense block counts,
+    # it was 8.4-8.7; unblocked, 7.4 n-vectors.
     for n in (200_000, 500_000, 2_000_000):
         plan = plan_lp(np.full(n, 10.0 / n), d=10, p=1.5, m_override=8000.0)
         _, peak, _ = traced_peak(lambda: realize(plan, 7))
-        assert peak <= 10 * 8 * DRAW_BLOCK, n
+        assert peak <= 7 * 8 * DRAW_BLOCK, n
 
 
 def test_sketch_indices_sorted_unique_positive_weights():

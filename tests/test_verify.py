@@ -315,10 +315,14 @@ def test_cross_term_zero_for_full_sketch():
 
 
 def test_cross_term_precondition_rejects_uncentered_labels():
-    inst, _ = make_instance(n=200, d=3, seed=8, p=1.5)
-    with pytest.raises(ValueError):
+    inst, full = make_instance(n=200, d=3, seed=8, p=1.5)
+    with pytest.raises(ValueError, match="not centered"):
         lr.cross_term_check(inst.A, inst.reveal_hidden_labels(),
                             full_sketch(inst.n), 1.5)
+    # Labels a 1e-3 step off the minimizer are not centered either.
+    y_centered = inst.reveal_hidden_labels() - inst.A @ (full.beta + 1e-3)
+    with pytest.raises(ValueError, match="duality gap"):
+        lr.cross_term_check(inst.A, y_centered, full_sketch(inst.n), 1.5)
 
 
 def test_cross_term_sampled_sketch():
