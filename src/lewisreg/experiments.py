@@ -268,15 +268,12 @@ def _cross(config: ExperimentConfig, inst) -> tuple[list, dict, bool]:
     plan = _plan(config, inst.A, config.p, POISSON_LP)
     full = _full_minimizer(inst)
     y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
-
-    def one(t: int) -> dict:
-        sketch = realize(plan, rng.derive(config.seed, 0x02, t))
-        rep = cross_term_check(inst.A, y_centered, sketch, config.p,
+    sketches = [realize(plan, rng.derive(config.seed, 0x02, t)) for t in range(config.trials)]
+    reports = cross_term_check(inst.A, y_centered, sketches, config.p,
                                m=plan.m, gamma=plan.gamma, delta=config.delta)
-        return {"trial": t, "support": sketch.support_size,
+    records = [{"trial": t, "support": sketch.support_size,
                 "max_ratio": rep.max_ratio, "fitted_c": rep.fitted_c}
-
-    records = [one(t) for t in range(config.trials)]
+               for t, (sketch, rep) in enumerate(zip(sketches, reports))]
     return _summary(config, plan, records,
                     {"median_max_ratio": "max_ratio", "median_fitted_c": "fitted_c"},
                     gated=False, m=plan.m)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMatrixError
-from .linalg import as_matrix, leverage_scores, matrix_rank_cutoff
+from .linalg import BLOCK, as_matrix, leverage_scores, matrix_rank_cutoff, row_blocks
 from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 
 
@@ -52,12 +52,6 @@ from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 # stops unconverged: rounding keeps it near eps * cond(X), where it only wanders.
 # A converging residual misses a new minimum at most twice in a row.
 _STALL_ITERATIONS = 10
-
-# Columns of B per block of the leverage kernel and of B's copy: a d x block
-# buffer stays in cache between a block's multiply and its product. Chosen by
-# timing 1024 to 65536 on a 200 000 x 10 matrix, where 4096 and 8192 were
-# fastest.
-_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
     if m < d:
         raise DegenerateMatrixError(f"{m} nonzero rows cannot have rank {d}")
     # The kernel's one work buffer, d x block. Its size does not grow with m.
-    X = np.empty((d, min(m, _BLOCK)))
+    X = np.empty((d, min(m, BLOCK)))
     # Leverage scores do not change under column scaling, and a power of two
     # is exact. Columns of max-abs in [0.5, 1) keep X X^T clear of underflow
     # and overflow, so a matrix scaled by 1e+-170 stays on the Gram path.
@@ -183,7 +177,7 @@ def lewis_weights(A, p: float, tol: float = 1e-8, max_iter: int = 500) -> LewisW
 def _nonzero_rows_transposed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B, the nonzero rows of A as the columns of a d x m array, and their mask.
 
-    A is copied in blocks of `_BLOCK` rows into one d x n allocation, each
+    A is copied in blocks of `BLOCK` rows into one d x n allocation, each
     block transposed and compressed to its nonzero rows in turn. With zero
     rows, B is a compact copy of the first m columns, so the d x n
     allocation is not held past the call. Every pass of the kernel then runs
@@ -193,8 +187,7 @@ def _nonzero_rows_transposed(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B = np.empty((d, n))
     nz = np.empty(n, dtype=bool)
     m = 0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
+    for start, stop in row_blocks(n):
         Bb = B[:, m:m + stop - start]
         np.copyto(Bb, A[start:stop].T)
         # Not a norm test: squared entries below ~1e-154 underflow to zero.
@@ -211,7 +204,7 @@ def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
     """Leverage scores of the columns of B diag(v), v = exp((1/2 - 1/p) x).
 
     The scores are written to tau and the scaling to v, both m-vectors, and
-    tau is returned. Two passes over blocks of `_BLOCK` columns, each through
+    tau is returned. Two passes over blocks of `BLOCK` columns, each through
     the d x block work buffer X. The first forms X_b = B_b diag(v_b) and sums
     the Gram matrix G = sum_b X_b X_b^T. The second writes M^T B_b, for an M
     with M^T G M = I, so that tau_b = v_b^2 * colsum((M^T B_b)^2).
@@ -221,7 +214,7 @@ def _scaled_leverage(B: np.ndarray, x: np.ndarray, p: float, tol: float,
     one block, or of the blocks' stacked triangular factors beyond.
     """
     d, m = B.shape
-    blocks = [(start, min(start + _BLOCK, m)) for start in range(0, m, _BLOCK)]
+    blocks = row_blocks(m)
     # Overflow or underflow here leaves a non-finite Gs, which the Cholesky
     # factorization rejects, or a non-finite tau, which the caller rejects.
     with np.errstate(all="ignore"):

@@ -11,9 +11,16 @@ step. A Newton step is taken whole when the loss still falls at its end,
 and otherwise cut by an Illinois regula falsi on the loss's slope, at most
 60 evaluations, to a length whose slope is <= 0, so no step raises the
 loss. Each solve is certified by weak duality: `SolveResult.gap` is the
-relative gap between the objective and a dual lower bound, and the status
-is `converged` exactly when the gap is at most `tol`. The Lp loop stops on
-that gap.
+relative gap between the objective and a dual lower bound, for labels
+perturbed within the rounding of the residuals, and the status is
+`converged` exactly when the gap is at most `tol`. The Lp loop stops on
+that gap. Every solve runs on one column-major Q from a TSQR of the rows
+of positive weight (`linalg.tsqr`), whose R decides the rank: the start, the
+certificate's dual projection and the Newton step solve d x d normal
+equations in Q's basis, summed a block of rows at a time. Besides A, a
+solve holds Q and n-vectors; an n x d copy is made only where a Gram
+matrix is too ill-conditioned for them (weights of 1e30 on a few rows) or
+R has lost rank.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, matrix_rank_cutoff, weighted_lp_loss
+from .linalg import (abs_matvec, as_matrix, as_vector, matrix_rank_cutoff, row_blocks, tsqr,
+                     weighted_lp_loss)
 
 CONVERGED = "converged"
 MAX_ITER = "max-iter"
@@ -38,6 +46,11 @@ _ROUNDING = 16 * _EPS
 _HEAD = 32
 # Consecutive zero-length pivots after which the walk turns to Bland's rule.
 _STALL_PIVOTS = 30
+# `_weighted_fit` solves its normal equations by the eigenvalues of their
+# equilibrated Gram matrix while eps * cond is at most this, so that the
+# second projection of `_duality_gap` squares the relative error down to
+# rounding; lstsq past it.
+_GRAM_COND = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -143,67 +156,116 @@ def _solve(A, y, s, p, tol, trace) -> SolveResult:
         As, ys, ss = (np.ascontiguousarray(v) for v in (A, y, s))
     else:
         As, ys, ss = A[active], y[active], s[active]
-    beta = _weighted_lstsq(As, ys, ss)
     # R has the singular values of As (and fewer than d rows when As does),
-    # so this one QR decides the rank. At p = 1 it is the walk's too.
-    Q, R = np.linalg.qr(As) if p == 1.0 else (None, np.linalg.qr(As, mode="r"))
+    # so this one factorization decides the rank; every solve runs on Q.
+    Q, R = tsqr(As)
     if matrix_rank_cutoff(R) < d:
+        root = np.sqrt(ss)
+        beta = np.linalg.lstsq(root[:, None] * As, root * ys, rcond=None)[0]
         return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
                            iterations=0, status=DEGENERATE, gap=np.inf)
+    x = _weighted_fit(Q, ss)(ss * ys)   # the weighted least-squares point A beta = Q x
     if p == 1.0:
-        beta, iterations, zhat = _l1_walk(As, Q, R, ys, ss, beta, trace)
-        del Q   # freed before the gap's n x d products
-        gap = _duality_gap(As, ys, ss, p, beta, zhat)[0]
+        beta, iterations, zhat = _l1_walk(As, Q, ys, ss, x, trace)
+        gap = _duality_gap(As, ys, ss, p, beta, zhat, Q, R)[0]
     else:
-        beta, iterations, gap = _lp_newton(As, ys, ss, p, beta, tol, trace)
+        beta, iterations, gap = _lp_newton(As, Q, R, ys, ss, p, np.linalg.solve(R, x),
+                                           tol, trace)
     return SolveResult(beta=beta, objective=weighted_lp_loss(A, y, beta, s, p),
                        iterations=iterations, status=CONVERGED if gap <= tol else MAX_ITER,
                        gap=gap)
 
 
-def _weighted_lstsq(A, y, w) -> np.ndarray:
-    sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(sw[:, None] * A, sw * y, rcond=None)
-    return beta
+def _weighted_fit(Q, m):
+    """(z, g) -> x solving G x = g for G = Q^T diag(m) Q and, by default,
+    g = Q^T z: the weighted least-squares fit of diag(m)^(-1/2) z by
+    diag(m)^(1/2) Q x.
+
+    G is summed one block of rows at a time and equilibrated to Gs = D G D,
+    D = diag(G)^(-1/2), as `lewis._scaled_leverage` does. Its eigenvalues
+    measure its condition and, while eps * cond(Gs) is at most `_GRAM_COND`,
+    solve it. Past that (weights of 1e30 on a few rows), lstsq makes that
+    fit on one n x d copy, diag(m)^(1/2) Q, and g is not used; a row whose
+    m underflows to 0 drops out of it.
+    """
+    n, d = Q.shape
+    G = np.zeros((d, d))
+    with np.errstate(all="ignore"):
+        for start, stop in row_blocks(n):
+            Qb = Q[start:stop]
+            G += Qb.T @ (m[start:stop, None] * Qb)
+        D = 1.0 / np.sqrt(np.diag(G))
+        Gs = D[:, None] * G * D
+    if np.all(np.isfinite(Gs)):
+        lam, V = np.linalg.eigh(Gs)
+        if lam[0] > 0.0 and _EPS * lam[-1] <= _GRAM_COND * lam[0]:
+            def fit(z, g=None):
+                g = Q.T @ z if g is None else g
+                return D * (V @ ((V.T @ (D * g)) / lam))
+            return fit
+    root = np.sqrt(m)
+    W = root[:, None] * Q
+
+    def fit_lstsq(z, g=None):
+        u = np.divide(z, root, out=np.zeros_like(z), where=root > 0.0)
+        return np.linalg.lstsq(W, u, rcond=None)[0]
+    return fit_lstsq
 
 
-def _duality_gap(A, y, s, p, beta, zhat):
-    """(objective - bound) / objective for the dual vector z = s * zhat, and the
-    coefficient c of z's projection.
+def _duality_gap(A, y, s, p, beta, zhat, Q, R):
+    """(objective - bound) / objective for a dual vector z built from s * zhat,
+    the coefficient x of its projection, and z.
 
+    A residual within the rounding of computing it, (d+1) eps (|a_i||beta| +
+    |y_i|), counts as zero, and for p > 1 so does zhat_i: the certificate is
+    one for labels perturbed within rounding, and objective is the loss of
+    these residuals. On a row weighted 1e30, one ulp of residual would
+    outweigh the rest of the loss.
     f_i* is the indicator of |z| <= s_i at p = 1, else s_i (p-1) (|z|/(p s_i))^q.
     z is projected onto null(A^T) in the norm sum_i dz_i^2 / m_i: m_i = s_i^2 at
-    p = 1, then z is scaled into the box; for p > 1, m_i = s_i |r_i|^(p-2), so
-    rows whose gradient is rounding noise absorb the correction. The bound is
-    z^T r - sum_i f_i*(z_i): on null(A^T) that is the dual objective -z^T y -
-    sum_i f_i*(z_i), but the projection's rounding A^T z enters times beta -
-    beta* instead of times beta*. For p > 1 and zhat = p |r|^(p-1) sign r, c is
-    -p (p-1) times the Newton step with that floored curvature. An exact fit
-    gives (0, None): zhat None from the walk, or for p > 1 every residual
-    within the rounding of computing it.
+    p = 1 (divided by max s^2, which leaves the projection as it is and keeps
+    G finite), then z
+    is scaled into the box; for p > 1, m_i = s_i |r_i|^(p-2), so rows whose
+    gradient is rounding noise absorb the correction. The projection is
+    z - diag(m) Q x for x = `_weighted_fit` of z on Q, where A = QR from
+    `tsqr`. A second projection, of the R^-T A^T z the first leaves,
+    takes A^T z itself to rounding. The bound is z^T r - sum_i f_i*(z_i): on
+    null(A^T) that is the dual objective -z^T y - sum_i f_i*(z_i), but the
+    projection's rounding A^T z enters times beta - beta* instead of times
+    beta*. For p > 1 and zhat = p |r|^(p-1) sign r, R^-1 x is -p (p-1) times
+    the Newton step with that floored curvature. An exact fit gives
+    (0, None, None): zhat None from the walk, or every residual within
+    rounding.
     """
     r = A @ beta - y
-    objective = float(np.sum(s * np.abs(r) ** p))
     rounding = (A.shape[1] + 1) * _EPS
-    if p > 1.0 and np.all(np.abs(r) <= rounding * (np.abs(A) @ np.abs(beta) + np.abs(y))):
-        zhat = None
+    r[np.abs(r) <= rounding * (abs_matvec(A, beta) + np.abs(y))] = 0.0
+    objective = float(np.sum(s * np.abs(r) ** p))
     if zhat is None or objective == 0.0:
-        return 0.0, None
-    floored = np.maximum(np.abs(r), 1e-16 * np.max(np.abs(r)))
-    root = s if p == 1.0 else np.sqrt(s * floored ** (p - 2.0))
-    V, u = root[:, None] * A, s * zhat / root
-    c = np.linalg.lstsq(V, u, rcond=None)[0]
-    zhat = root * (u - V @ c) / s
-    bound = float(np.sum(s * zhat * r))
+        return 0.0, None, None
+    if p == 1.0:
+        m = (s / np.max(s)) ** 2
+    else:
+        zhat = np.where(r == 0.0, 0.0, zhat)
+        floored = np.maximum(np.abs(r), 1e-16 * np.max(np.abs(r)))
+        m = s * floored ** (p - 2.0)
+    fit = _weighted_fit(Q, m)
+    z = s * zhat
+    x = fit(z)
+    z -= m * (Q @ x)
+    dx = fit(z, np.linalg.solve(R.T, A.T @ z))
+    z -= m * (Q @ dx)
+    zhat = z / s
+    bound = float(np.sum(z * r))
     if p == 1.0:
         bound /= max(1.0, float(np.max(np.abs(zhat))))
     else:
         bound -= (p - 1.0) * float(np.sum(s * (np.abs(zhat) / p) ** (p / (p - 1.0))))
-    return (objective - bound) / objective, c
+    return (objective - bound) / objective, x + dx, z
 
 
-def _l1_walk(A, Q, R, y, s, beta, trace):
-    """Barrodale-Roberts walk from beta to an optimal vertex of sum_i s_i |A beta - y|_i.
+def _l1_walk(A, Q, y, s, x, trace):
+    """Barrodale-Roberts walk from A beta = Q x to an optimal vertex of sum_i s_i |A beta - y|_i.
 
     Nonbasic rows carry sigma_i = sign(r_i); a zero residual keeps the side it
     came from (the LP's basic u_i or v_i). At basis B, lam solves A_B^T (s_B lam)
@@ -216,13 +278,14 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
     lowers the objective strictly, so a cycle of bases has zero-length steps
     only, and after `_STALL_PIVOTS` of them Bland's rule runs, which does
     not cycle. Line searches order breakpoints by `_first_reaching`, so each
-    picks the row a full stable sort picks. Runs on Q of the given A = QR,
-    whose bases are only as ill-conditioned as their rows. Returns A_B^-1
+    picks the row a full stable sort picks. Runs on the Q of `tsqr(A)`,
+    whose bases are only as ill-conditioned as their rows, with the row sums
+    of |Q| taken a block of rows at a time. Returns A_B^-1
     y_B, the line searches, and z / s (sigma off B, lam on it), or None for
     an exact fit.
     """
     n, d = A.shape
-    row_norms = np.abs(Q).sum(axis=1)
+    row_norms = abs_matvec(Q, np.ones(d))
     abs_y = np.abs(y)
     buf = np.empty(n)       # rounding thresholds, then signs
     sigma, basis = np.ones(n), []
@@ -249,7 +312,6 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
         return c, np.abs(c) > buf
 
     # d line searches, each in the null space of the rows fitted so far, reach a vertex
-    x = R @ beta
     r = residuals(x, 1.0)
     for k in range(d):
         N = np.linalg.qr(Q[basis].T, mode="complete")[0][:, k:]
@@ -302,13 +364,13 @@ def _l1_walk(A, Q, R, y, s, beta, trace):
     return np.linalg.solve(A[basis], y[basis]), d + pivots, zhat
 
 
-def _lp_newton(A, y, s, p, beta, tol, trace):
+def _lp_newton(A, Q, R, y, s, p, beta, tol, trace):
     """Damped Newton from beta on sum_i s_i |A beta - y|_i^p, 1 < p <= 2.
 
-    Stops at the first iterate whose duality gap is at most tol, at a step
-    that would raise the objective, or after `_NEWTON_CAP` steps. Each step
-    is `_duality_gap`'s Newton direction with an exact line search over
-    [0, 1]. Returns (beta, steps, gap).
+    A = QR from `tsqr`. Stops at the first iterate whose duality gap is at
+    most tol, at a step that would raise the objective, or after
+    `_NEWTON_CAP` steps. Each step is `_duality_gap`'s Newton direction with
+    an exact line search over [0, 1]. Returns (beta, steps, gap).
     """
     r = A @ beta - y
     obj = float(np.sum(s * np.abs(r) ** p))
@@ -316,10 +378,10 @@ def _lp_newton(A, y, s, p, beta, tol, trace):
         trace.append(obj)
     for steps in range(_NEWTON_CAP + 1):
         g = np.abs(r) ** (p - 1.0) * np.sign(r)
-        gap, c = _duality_gap(A, y, s, p, beta, p * g)
+        gap, x, _ = _duality_gap(A, y, s, p, beta, p * g, Q, R)
         if gap <= tol or steps == _NEWTON_CAP:
             break
-        step = c / (-p * (p - 1.0))
+        step = np.linalg.solve(R, x) / (-p * (p - 1.0))
         dr = A @ step
         t = _line_search(r, dr, s, p, float(np.sum(s * g * dr)))
         cand = beta + t * step

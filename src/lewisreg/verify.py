@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateMatrixError
 from .lewis import _sup_ratio
-from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff
+from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff, tsqr
 from .oracle import RegressionInstance
 from .sampling import Sketch
 from .solvers import _duality_gap
@@ -299,49 +299,57 @@ def embedding_check(
 def cross_term_check(
     A,
     y_centered,
-    sketch: Sketch,
+    sketches: list[Sketch],
     p: float,
     m: float | None = None,
     gamma: float = 1.0,
     delta: float = 0.1,
-) -> CrossTermReport:
-    """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta.
+) -> list[CrossTermReport]:
+    """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta
+    of each sketch, one report per sketch.
 
-    Requires y_centered to be the residual at the full-data minimizer so the
-    unweighted cross term vanishes identically: the duality gap of beta = 0
-    on these labels, the solvers' certificate, must be at most
-    `_CENTERING_GAP`. The weighted one is v^T beta for a fixed v, so its
-    normalized supremum is the exact sup_beta |v^T beta|^p / ||A beta||_p^p,
-    solved as a constrained Lp regression.
+    Requires A to have full column rank, and y_centered to be the residual
+    at the full-data minimizer so the unweighted cross term vanishes
+    identically: the duality gap of beta = 0 on these labels, the solvers'
+    certificate, must be at most `_CENTERING_GAP`. Both checks and the other
+    label-only quantities are computed once for all sketches. A sketch's
+    weighted cross term is v^T beta for a fixed v, so its normalized
+    supremum is the exact sup_beta |v^T beta|^p / ||A beta||_p^p, solved as
+    a constrained Lp regression.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must be in (1, 2), got {p}")
     A = as_matrix(A)
     y = as_vector(y_centered, "y_centered")
+    d = A.shape[1]
+    Q, R = tsqr(A)
+    if matrix_rank_cutoff(R) < d:
+        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {d}")
     psi = p * np.abs(y) ** (p - 1.0) * np.sign(y)
     # At beta = 0 the residual is -y, whose loss gradient is -psi.
-    gap = _duality_gap(A, y, np.ones(y.size), p, np.zeros(A.shape[1]), -psi)[0]
+    gap = _duality_gap(A, y, np.ones(y.size), p, np.zeros(d), -psi, Q, R)[0]
+    del Q   # n x d, and each sketch's supremum takes its own
     if gap > _CENTERING_GAP:
         raise ValueError(f"labels are not centered at the minimizer: duality gap {gap:.2e}")
     grad = A.T @ psi
     scale = float(np.sum(np.abs(psi) * np.linalg.norm(A, axis=1)))
     rel = float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0
-    v = A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
     y_norm = lp_norm(y, p)
-    if y_norm == 0 or not np.any(v):
-        max_ratio = 0.0
-    elif matrix_rank_cutoff(A) < A.shape[1]:
-        raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
-    else:
-        max_ratio = _sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)
     reference = None
-    fitted = None
     if m is not None and m > 0:
-        d = A.shape[1]
         reference = math.sqrt(gamma * d ** (2.0 / p) / (delta * m))
-        fitted = max_ratio / reference
-    return CrossTermReport(p=p, max_ratio=float(max_ratio), reference=reference,
-                           fitted_c=fitted, precondition_residual=rel)
+    reports = []
+    for sketch in sketches:
+        v = A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
+        if y_norm == 0 or not np.any(v):
+            max_ratio = 0.0
+        else:
+            max_ratio = _sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)
+        reports.append(CrossTermReport(
+            p=p, max_ratio=float(max_ratio), reference=reference,
+            fitted_c=None if reference is None else max_ratio / reference,
+            precondition_residual=rel))
+    return reports
 
 
 def taylor_remainder_ratio(t, p: float):

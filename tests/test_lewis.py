@@ -16,11 +16,10 @@ from lewisreg import (
     split_row,
     uniformity_report,
 )
+from lewisreg.linalg import BLOCK
 
 ALL_P = (1.0, 1.25, 1.5, 2.0)
-# Rows of A per block of the leverage kernel; TALL spans three full blocks
-# and a partial one.
-BLOCK = lewis_module._BLOCK
+# TALL spans three full blocks of the leverage kernel and a partial one.
 TALL = 3 * BLOCK + 17
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lewisreg import DegenerateMatrixError, leverage_scores, lp_norm, weighted_lp_loss
-from lewisreg.linalg import as_matrix
+from lewisreg.linalg import BLOCK, as_matrix, tsqr
 
 
 def test_leverage_identity():
@@ -147,3 +147,36 @@ def test_weighted_loss_dimension_mismatch():
 def test_weighted_loss_negative_weight_rejected():
     with pytest.raises(ValueError):
         weighted_lp_loss(np.ones((2, 1)), [0.0, 1.0], [1.0], [-1.0, 1.0], 1.0)
+
+
+def _tsqr_inputs():
+    r = np.random.default_rng(31)
+    tall = 2 * BLOCK + 3         # two full blocks and a short last one
+    collinear = r.standard_normal((tall, 4))
+    collinear[:, 1] = collinear[:, 0] + 1e-6 * r.standard_normal(tall)   # cond near 1e6
+    ints = r.integers(-5, 6, size=(tall, 6)).astype(float)
+    return {
+        "one-block": r.standard_normal((500, 6)),
+        "blocks": r.standard_normal((tall, 10)),
+        "fewer-rows-than-columns": r.standard_normal((3, 5)),
+        "collinear": collinear,
+        "magnitude-1e100": 1e100 * ints,
+        "magnitude-1e-100": 1e-100 * ints,
+    }
+
+
+@pytest.mark.parametrize("name", list(_tsqr_inputs()))
+def test_tsqr_is_a_qr_of_a(name):
+    A = _tsqr_inputs()[name]
+    n, d = A.shape
+    k = min(n, d)
+    eps = np.finfo(float).eps
+    Q, R = tsqr(A)
+    assert Q.shape == (n, k) and R.shape == (k, d) and Q.flags.f_contiguous
+    assert np.max(np.abs(Q.T @ Q - np.eye(k))) <= 4 * n * eps
+    assert np.linalg.norm(Q @ R - A) <= 4 * n * eps * np.linalg.norm(A)
+    # Householder's R up to row signs, to R's perturbation bound n eps cond(A).
+    R_ref = np.linalg.qr(A, mode="r")
+    signs = np.sign(np.diag(R)) * np.sign(np.diag(R_ref))
+    assert (np.linalg.norm(signs[:, None] * R - R_ref)
+            <= n * eps * np.linalg.cond(A) * np.linalg.norm(A))

@@ -308,7 +308,7 @@ def test_embedding_sampled_sketch_finite_deviation():
 def test_cross_term_zero_for_full_sketch():
     inst, full = make_instance(n=500, d=3, seed=7, p=1.5)
     y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
-    rep = lr.cross_term_check(inst.A, y_centered, full_sketch(inst.n), 1.5)
+    [rep] = lr.cross_term_check(inst.A, y_centered, [full_sketch(inst.n)], 1.5)
     # with s = 1 the cross term is the optimality condition, identically ~0
     assert rep.max_ratio <= 1e-6
     assert rep.precondition_residual <= 1e-6
@@ -318,11 +318,11 @@ def test_cross_term_precondition_rejects_uncentered_labels():
     inst, full = make_instance(n=200, d=3, seed=8, p=1.5)
     with pytest.raises(ValueError, match="not centered"):
         lr.cross_term_check(inst.A, inst.reveal_hidden_labels(),
-                            full_sketch(inst.n), 1.5)
+                            [full_sketch(inst.n)], 1.5)
     # Labels a 1e-3 step off the minimizer are not centered either.
     y_centered = inst.reveal_hidden_labels() - inst.A @ (full.beta + 1e-3)
     with pytest.raises(ValueError, match="duality gap"):
-        lr.cross_term_check(inst.A, y_centered, full_sketch(inst.n), 1.5)
+        lr.cross_term_check(inst.A, y_centered, [full_sketch(inst.n)], 1.5)
 
 
 def test_cross_term_sampled_sketch():
@@ -331,10 +331,30 @@ def test_cross_term_sampled_sketch():
     lw = lr.lewis_weights(inst.A, 1.5)
     plan = lr.plan_lp(lw.w, gamma=lw.gamma, d=4, p=1.5, m_override=400.0)
     sketch = lr.realize(plan, 3)
-    rep = lr.cross_term_check(inst.A, y_centered, sketch, 1.5,
-                              m=plan.m, gamma=plan.gamma, delta=0.1)
+    [rep] = lr.cross_term_check(inst.A, y_centered, [sketch], 1.5,
+                                m=plan.m, gamma=plan.gamma, delta=0.1)
     assert rep.max_ratio > 0.0
     assert rep.fitted_c == pytest.approx(rep.max_ratio / rep.reference)
+
+
+def test_cross_term_rejects_rank_deficient_matrix():
+    inst, full = make_instance(n=500, d=3, seed=7, p=1.5)
+    y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
+    A = np.hstack([inst.A, inst.A[:, :1]])      # the same column space, rank 3 of 4
+    with pytest.raises(lr.DegenerateMatrixError, match="rank-deficient"):
+        lr.cross_term_check(A, y_centered, [full_sketch(inst.n)], 1.5)
+
+
+def test_cross_term_reports_each_sketch_as_alone():
+    inst, full = make_instance(n=2000, d=4, seed=9, p=1.5)
+    y_centered = inst.reveal_hidden_labels() - inst.A @ full.beta
+    lw = lr.lewis_weights(inst.A, 1.5)
+    plan = lr.plan_lp(lw.w, gamma=lw.gamma, d=4, p=1.5, m_override=400.0)
+    sketches = [lr.realize(plan, seed) for seed in (3, 4, 5)]
+    reports = lr.cross_term_check(inst.A, y_centered, sketches, 1.5, m=plan.m)
+    assert reports == [lr.cross_term_check(inst.A, y_centered, [sk], 1.5, m=plan.m)[0]
+                       for sk in sketches]
+    assert lr.cross_term_check(inst.A, y_centered, [], 1.5) == []
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5])
@@ -344,7 +364,7 @@ def test_cross_term_d2_matches_angle_sweep(p):
     lw = lr.lewis_weights(inst.A, p)
     plan = lr.plan_lp(lw.w, gamma=lw.gamma, d=2, p=p, m_override=60.0)
     sketch = lr.realize(plan, 5)
-    rep = lr.cross_term_check(inst.A, y_centered, sketch, p)
+    [rep] = lr.cross_term_check(inst.A, y_centered, [sketch], p)
     psi = p * np.abs(y_centered) ** (p - 1.0) * np.sign(y_centered)
     v = inst.A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
     thetas = np.linspace(0.0, np.pi, 200_001)
