@@ -17,14 +17,14 @@ import numpy as np
 from . import __version__, matio
 from .errors import BudgetExceededError, DegenerateMatrixError
 from .experiments import (
-    SWEEP_AXES,
+    FIELD_TYPES,
+    SWEEP_FIELDS,
     ExperimentConfig,
     fit_loglog_slope,
     preset_config,
     run_experiment,
     run_trials,
     sweep,
-    sweep_summary,
 )
 from .instances import gen_lower_bound, gen_random
 from .lewis import importance_weights, lewis_weights, sandwich_check
@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="sweep one config axis and fit the trend")
     sw.add_argument("--preset", required=True)
-    sw.add_argument("--axis", choices=list(SWEEP_AXES), required=True)
+    sw.add_argument("--axis", choices=SWEEP_FIELDS, required=True, metavar="FIELD",
+                    help="the int or float ExperimentConfig field to step, by its "
+                         f"name: one of {', '.join(SWEEP_FIELDS)}")
     sw.add_argument("--values", required=True,
                     help="comma-separated ascending values")
     sw.add_argument("--metric", default="median_violation")
@@ -153,27 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config fields `run` and `sweep` override, each by the flag --<field>
+OVERRIDES = ("n", "d", "p", "eps", "delta", "scheme", "c_u", "c_m", "trials", "seed")
+
+
 def _add_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--p", dest="p_value", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--scheme", choices=[BERNOULLI_L1, POISSON_LP, UNIFORM], default=None)
-    p.add_argument("--c-u", type=float, default=None)
-    p.add_argument("--c-m", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for field in OVERRIDES:
+        p.add_argument("--" + field.replace("_", "-"), type=FIELD_TYPES[field], default=None,
+                       choices=[BERNOULLI_L1, POISSON_LP, UNIFORM] if field == "scheme" else None)
     p.add_argument("--out", default=None)
 
 
 def _overrides(args) -> dict:
-    mapping = {
-        "n": args.n, "d": args.d, "p": args.p_value, "eps": args.eps,
-        "delta": args.delta, "scheme": args.scheme, "c_u": args.c_u,
-        "c_m": args.c_m, "trials": args.trials, "seed": args.seed,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    return {f: getattr(args, f) for f in OVERRIDES if getattr(args, f) is not None}
 
 
 def _cmd_gen(args) -> int:
@@ -372,17 +366,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = preset_config(args.preset, **_overrides(args))
-    values = [float(v) for v in args.values.split(",") if v]
-    reports = sweep(config, args.axis, values)
-    if reports and args.metric not in reports[0].aggregates:
+    reports = sweep(config, args.axis, [float(v) for v in args.values.split(",") if v])
+    if args.metric not in reports[0].aggregates:
         raise ValueError(f"--metric {args.metric!r} is not reported; choose from "
                          f"{sorted(reports[0].aggregates)}")
-    rows = sweep_summary(args.axis, values, reports, args.metric)
-    ys = [row[args.metric] for row in rows]
-    slope = None
-    if all(y is not None and y > 0 for y in ys):
-        slope = fit_loglog_slope(values, ys)
-    out = {"axis": args.axis, "rows": rows, "metric": args.metric, "slope": slope}
+    rows = [{args.axis: r.config[args.axis], args.metric: r.aggregates[args.metric],
+             "pass_fraction": r.aggregates.get("pass_fraction")} for r in reports]
+    slope = fit_loglog_slope([row[args.axis] for row in rows],
+                             [row[args.metric] for row in rows])
+    out = {"axis": args.axis, "rows": rows, "metric": args.metric,
+           "slope": slope if np.isfinite(slope) else None}
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"summary": out,

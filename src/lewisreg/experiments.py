@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("cross-term experiments need p in (1, 2)")
         if self.m_target is not None and not (math.isfinite(self.m_target) and self.m_target > 0):
             raise ValueError(f"m_target must be finite and positive, got {self.m_target}")
+        if self.n_outliers < 0 or self.noise_std < 0 or self.directions <= 0:
+            raise ValueError("n_outliers, noise_std must be nonnegative and directions positive")
 
 
 @dataclass
@@ -301,36 +304,40 @@ _RUNNERS = {
     "coin": (lambda config: None, _coin),
 }
 
-# sweep axis -> the config field it sets
-SWEEP_AXES = {"m": "m_target", "eps": "eps", "c_u": "c_u"}
+# config field -> the type its sweep values and command-line overrides are cast
+# to (`float | None` casts to float), and the int and float ones a sweep can step
+FIELD_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
+               for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+SWEEP_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if kind in (int, float))
 
 
-def sweep(config: ExperimentConfig, axis: str, values) -> list[ExperimentReport]:
-    """One report per axis value; values must be sorted ascending."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
-    values = list(values)
-    if values != sorted(values):
-        raise ValueError("sweep values must be sorted ascending")
-    return [run_experiment(dataclasses.replace(config, **{SWEEP_AXES[axis]: float(v)}))
-            for v in values]
-
-
-def sweep_summary(axis: str, values, reports, metric: str) -> list[dict]:
-    return [{axis: v, metric: rep.aggregates.get(metric),
-             "pass_fraction": rep.aggregates.get("pass_fraction")}
-            for v, rep in zip(values, reports)]
+def sweep(config: ExperimentConfig, field: str, values) -> list[ExperimentReport]:
+    """One report per value of the int or float config `field`, cast to its type;
+    values must be sorted ascending, and all are validated before the first run."""
+    if field not in SWEEP_FIELDS:
+        raise ValueError(f"cannot sweep {field!r}; choose from {SWEEP_FIELDS}")
+    kind, values = FIELD_TYPES[field], list(values)
+    if kind is int and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"{field} takes integer values, got {values}")
+    values = [kind(v) for v in values]
+    if not values or values != sorted(values):
+        raise ValueError(f"sweep values must be one or more, sorted ascending; got {values}")
+    configs = [dataclasses.replace(config, **{field: v}) for v in values]
+    for c in configs:
+        c.validate()
+    return [run_experiment(c) for c in configs]
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x); nan if underdetermined."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
-    lx = lx - lx.mean()
-    denom = float(np.sum(lx * lx))
-    if lx.size < 2 or denom == 0.0:
+    """Least-squares slope of log(y) against log(x); nan unless there are two
+    or more points, all finite and positive, and x varies."""
+    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if x.size < 2 or x.min() == x.max() or not all(np.all(np.isfinite(v) & (v > 0))
+                                                   for v in (x, y)):
         return math.nan
-    return float(np.sum(lx * (ly - ly.mean())) / denom)
+    lx, ly = np.log(x), np.log(y)
+    lx = lx - lx.mean()
+    return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:

@@ -193,7 +193,7 @@ def test_criterion_09_ruc_vs_uncorrected(report):
 def test_criterion_10_eps_scaling(report):
     ms = [250, 500, 1000, 2000, 4000, 8000]
     config = preset_config("scaling-ruc")
-    reports = sweep(config, "m", ms)
+    reports = sweep(config, "m_target", ms)
     medians = [r.aggregates["median_violation"] for r in reports]
     slope = fit_loglog_slope(ms, medians)
     report("criterion 10 (violation decays like m^-1/2)",
@@ -232,7 +232,7 @@ def test_criterion_12_query_ledger_exactness(report):
 def test_criterion_13_cross_term_scaling(report):
     ms = [500, 1000, 2000, 4000, 8000]
     config = preset_config("scaling-cross")
-    reports = sweep(config, "m", ms)
+    reports = sweep(config, "m_target", ms)
     medians = [r.aggregates["median_max_ratio"] for r in reports]
     slope = fit_loglog_slope(ms, medians)
     report("criterion 13 (cross term decays like m^-1/2)",

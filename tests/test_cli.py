@@ -183,10 +183,10 @@ def test_sweep_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.json")
     code, _ = run(capsys, "sweep", "--preset", "scaling-ruc", "--n", "600",
                   "--d", "3", "--trials", "3", "--seed", "2",
-                  "--axis", "m", "--values", "100,200", "--out", out)
+                  "--axis", "m_target", "--values", "100,200", "--out", out)
     assert code == 0
     lines = (tmp_path / "sweep.json.csv").read_text().strip().splitlines()
-    assert lines[0] == "m,median_violation,pass_fraction"
+    assert lines[0] == "m_target,median_violation,pass_fraction"
     assert len(lines) == 3
 
 
@@ -198,6 +198,39 @@ def test_sweep_rejects_a_metric_the_family_does_not_report(capsys):
     assert captured.out == ""
     assert "'median_violation' is not reported" in captured.err
     assert "median_ratio" in captured.err
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+SMALL_SWEEP = ["sweep", "--preset", "scaling-ruc", "--n", "600", "--d", "3", "--trials", "2"]
+
+
+def test_sweep_without_values_is_an_error(capsys):
+    code = main(SMALL_SWEEP + ["--axis", "m_target", "--values", ","])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("axis,values", [("m_target", "300"), ("n_outliers", "0,1")])
+def test_sweep_prints_null_for_a_slope_it_cannot_fit(capsys, axis, values):
+    code, out = run(capsys, *SMALL_SWEEP, "--axis", axis, "--values", values)
+    assert code == 0
+    summary = strict_json(out)
+    assert summary["slope"] is None
+    assert [row[axis] for row in summary["rows"]] == [float(v) for v in values.split(",")]
+
+
+def test_sweep_axis_must_be_an_int_or_float_field(capsys):
+    for axis in ("family", "m"):
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL_SWEEP + ["--axis", axis, "--values", "1"])
+        assert exc.value.code == 2
 
 
 def test_usage_error_exit_2(capsys):

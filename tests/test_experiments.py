@@ -7,7 +7,6 @@ import pytest
 from lewisreg import experiments, lewis_weights, realize, rng
 from lewisreg.experiments import (
     SCHEMA_VERSION,
-    SWEEP_AXES,
     ExperimentConfig,
     _plan,
     _random_instance,
@@ -98,20 +97,44 @@ def test_report_embeds_config_and_version():
 
 def test_sweep_requires_sorted_values():
     with pytest.raises(ValueError):
-        sweep(small_l1_config(), "m", [200, 100])
+        sweep(small_l1_config(), "m_target", [200, 100])
     with pytest.raises(ValueError):
         sweep(small_l1_config(), "budget", [1, 2])
 
 
-@pytest.mark.parametrize("axis,field,value", [("m", "m_target", 700.0), ("eps", "eps", 0.35),
-                                              ("c_u", "c_u", 0.3)])
-def test_sweep_point_matches_run_experiment(axis, field, value):
-    assert SWEEP_AXES[axis] == field
+@pytest.mark.parametrize("field,value", [("m_target", 700.0), ("eps", 0.35), ("c_u", 0.3),
+                                         ("n", 1200), ("seed", 5)])
+def test_sweep_point_matches_run_experiment(field, value):
     config = small_l1_config(n=1500, d=3, trials=3)
-    got = sweep(config, axis, [value])[0]
+    got = sweep(config, field, [value])[0]
     want = run_experiment(dataclasses.replace(config, **{field: value}))
+    assert type(got.config[field]) is type(value)
     assert got.trials == want.trials
     assert got.aggregates == want.aggregates
+
+
+@pytest.mark.parametrize("field,values", [
+    ("family", ["coin"]), ("scheme", ["uniform"]), ("preset", ["l1-accept"]),
+    ("budget", [300]), ("m", [300]), ("n", [2.5]), ("n", [float("inf")]), ("m_target", []),
+])
+def test_sweep_rejects_what_no_int_or_float_field_takes(field, values):
+    with pytest.raises(ValueError):
+        sweep(small_l1_config(), field, values)
+
+
+def test_sweep_validates_every_value_before_the_first_run(monkeypatch):
+    monkeypatch.setattr(experiments, "run_experiment", lambda config: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="eps"):
+        sweep(small_l1_config(), "eps", [0.2, 1.5])
+    with pytest.raises(ValueError, match="n_outliers"):
+        sweep(small_l1_config(), "n_outliers", [-1, 0])
+
+
+@pytest.mark.parametrize("xs,ys", [([], []), ([300], [0.1]), ([300, 300], [0.1, 0.2]),
+                                   ([0, 1], [1.0, 2.0]), ([1, 2], [0.0, 1.0]),
+                                   ([1, 2], [None, 1.0]), ([1, 2], [1.0, float("inf")])])
+def test_loglog_slope_is_nan_without_a_fit_and_does_not_warn(xs, ys):
+    assert np.isnan(fit_loglog_slope(xs, ys))
 
 
 def test_eps_sweep_queries_scale_like_eps_minus_two():
@@ -125,7 +148,7 @@ def test_eps_sweep_queries_scale_like_eps_minus_two():
 def test_m_sweep_median_violation_monotone_up_to_noise():
     cfg = preset_config("scaling-ruc", n=4000, d=4, trials=8, directions=12)
     ms = [200, 800, 3200]
-    reports = sweep(cfg, "m", ms)
+    reports = sweep(cfg, "m_target", ms)
     meds = [r.aggregates["median_violation"] for r in reports]
     assert meds[0] > meds[1] > meds[2]
 
