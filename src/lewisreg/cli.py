@@ -21,6 +21,7 @@ from .experiments import (
     SWEEP_FIELDS,
     ExperimentConfig,
     fit_loglog_slope,
+    json_text,
     preset_config,
     run_experiment,
     run_trials,
@@ -198,8 +199,8 @@ def _cmd_gen(args) -> int:
     manifest["matrix"] = mat_path
     manifest["labels"] = f"{prefix}.labels.csv"
     with open(f"{prefix}.manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    print(json.dumps(manifest, sort_keys=True))
+        f.write(json_text(manifest, indent=2))
+    print(json_text(manifest))
     return 0
 
 
@@ -211,8 +212,8 @@ def _cmd_lewis(args) -> int:
                "iterations": lw.iterations, "sum": lw.total,
                "converged": lw.converged}
     with open(args.out + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-    print(json.dumps(sidecar, sort_keys=True))
+        f.write(json_text(sidecar, indent=2))
+    print(json_text(sidecar))
     return 0
 
 
@@ -241,10 +242,9 @@ def _cmd_plan(args) -> int:
         plan = plan_uniform(w.size, int(args.m))
     payload = _plan_to_json(plan)
     with open(args.out, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-    print(json.dumps({k: payload[k] for k in
-                      ("scheme", "n", "gamma", "u", "m", "expected_support")},
-                     sort_keys=True))
+        f.write(json_text(payload))
+    print(json_text({k: payload[k] for k in
+                     ("scheme", "n", "gamma", "u", "m", "expected_support")}))
     return 0
 
 
@@ -278,8 +278,8 @@ def _cmd_realize(args) -> int:
     with open(args.out, "w") as f:
         for i, w in zip(sketch.indices, sketch.weights):
             f.write(f"{i},{w:.17g}\n")
-    print(json.dumps({"support": sketch.support_size, "seed": args.seed,
-                      "plan_hash": sketch.plan_hash}, sort_keys=True))
+    print(json_text({"support": sketch.support_size, "seed": args.seed,
+                     "plan_hash": sketch.plan_hash}))
     return 0
 
 
@@ -300,13 +300,13 @@ def _cmd_solve(args) -> int:
         res = solve_weighted_l1(A, y, s, tol=args.tol)
     else:
         res = solve_weighted_lp(A, y, args.p, s, tol=args.tol)
-    print(json.dumps({
+    print(json_text({
         "beta": res.beta.tolist(),
         "objective": res.objective,
         "iterations": res.iterations,
         "status": res.status,
         "gap": res.gap,
-    }, sort_keys=True))
+    }))
     return 0
 
 
@@ -333,7 +333,7 @@ def _cmd_verify(args) -> int:
         _, aggregates, _ = run_trials(config, instance)
         payload = {"check": args.check, "eps": args.eps, "trials": args.trials,
                    **aggregates}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_text(payload, indent=2)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -374,18 +374,17 @@ def _cmd_sweep(args) -> int:
              "pass_fraction": r.aggregates.get("pass_fraction")} for r in reports]
     slope = fit_loglog_slope([row[args.axis] for row in rows],
                              [row[args.metric] for row in rows])
-    out = {"axis": args.axis, "rows": rows, "metric": args.metric,
-           "slope": slope if np.isfinite(slope) else None}
+    out = {"axis": args.axis, "rows": rows, "metric": args.metric, "slope": slope}
     if args.out:
         with open(args.out, "w") as f:
-            json.dump({"summary": out,
-                       "reports": [json.loads(r.to_json()) for r in reports]},
-                      f, indent=2, sort_keys=True)
+            f.write(json_text({"summary": out,
+                               "reports": [dataclasses.asdict(r) for r in reports]},
+                              indent=2))
         with open(args.out + ".csv", "w") as f:
             f.write(f"{args.axis},{args.metric},pass_fraction\n")
             for row in rows:
                 f.write(f"{row[args.axis]},{row[args.metric]},{row['pass_fraction']}\n")
-    print(json.dumps(out, sort_keys=True))
+    print(json_text(out))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -106,7 +106,26 @@ class ExperimentReport:
     tool_version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json_text(dataclasses.asdict(self), indent=2)
+
+
+def json_text(obj, indent: int | None = None) -> str:
+    """Strict JSON of obj, keys sorted, with every non-finite float written as null.
+
+    JSON has no NaN or Infinity, and strict parsers reject Python's spelling
+    of them. Only the text changes: in-memory values keep their inf and nan.
+    """
+    return json.dumps(_finite(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

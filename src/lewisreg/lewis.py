@@ -30,9 +30,14 @@ rank fails the condition bound, and the package's one rank rule,
 importance weights apply the same rule to A once per call.
 The importance weight of a row,
 sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
-p < 2. It equals 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression
-on d - 1 coefficients once the constraint is eliminated, which the weighted
-L1 and Lp solvers solve exactly, so both sides of the sandwich
+p < 2. At p = 1 the supremum is attained at a vertex of the unit ball
+{beta : ||A beta||_1 <= 1}, whose vertices are the normals of the facets of
+the zonotope sum_j [-a_j, a_j], each orthogonal to d - 1 of the rows. While
+there are few enough (d - 1)-row subsets, every u_i is the maximum over
+their null vectors, all rows at once. Otherwise, and for p > 1, u_i is
+1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression on d - 1
+coefficients once the constraint is eliminated, which the weighted L1 and
+Lp solvers solve exactly, so both sides of the sandwich
 d^-(1-p/2) w_i <= u_i <= w_i are checked.
 """
 
@@ -40,6 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -52,6 +59,21 @@ from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 # stops unconverged: rounding keeps it near eps * cond(X), where it only wanders.
 # A converging residual misses a new minimum at most twice in a row.
 _STALL_ITERATIONS = 10
+
+# At p = 1 the importance weights enumerate the facet normals while there are
+# at most this many (d - 1)-row subsets per requested nonzero row, and solve
+# one certified L1 regression per row beyond. Measured with one BLAS thread on
+# Gaussian m x d matrices, every row requested: the two break even near 300
+# subsets per row at d = 3 (m = 600, where each subset's m scores dominate),
+# 1400 at d = 4, 1650 at d = 5 and 850 at d = 6. At 350 the enumeration takes
+# up to about 1.4 times as long as the regressions (d = 3, m = 700), and the
+# regressions up to about 5 times as long as the enumeration (d = 4, m = 48).
+_FACETS_PER_ROW = 350
+
+# Entries of one m x chunk block of facet scores |A B|: 2048 facets of a
+# 32-row matrix, fewer the more rows. 2^16 to 2^18 timed alike at m = 600,
+# where 2^14 took 1.9 times as long, and 2^16 was fastest at m = 44.
+_SCORE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -303,22 +325,105 @@ def importance_weight_oracle(A, p: float, row: int) -> float:
 def importance_weights(A, p: float, starts: int = 16, seed: int = 0) -> ImportanceWeights:
     """Exact importance weights of every row of A, which must have full column rank.
 
-    `starts` and `seed` are accepted for compatibility and ignored.
+    At p = 1, with at most `_FACETS_PER_ROW` subsets of d - 1 nonzero rows
+    per nonzero row, u is the maximum over the facet normals
+    (`_facet_importance`); otherwise each row's u comes from one certified
+    regression (`_sup_ratio`). `starts` and `seed` are accepted for
+    compatibility and ignored.
     """
     A = as_matrix(A)
     return ImportanceWeights(p=p, u=_importance_all(A, p, rows=range(A.shape[0])))
 
 
 def _importance_all(A, p, rows) -> np.ndarray:
+    """u of at least the requested rows: the facet path fills every nonzero row."""
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
     u = np.zeros(A.shape[0])
-    rows = [i for i in rows if np.any(A[i])]
-    if rows and matrix_rank_cutoff(A) < A.shape[1]:
+    nonzero = np.any(A, axis=1)
+    rows = [i for i in rows if nonzero[i]]
+    if not rows:
+        return u
+    if matrix_rank_cutoff(A) < A.shape[1]:
         raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
-    for i in rows:
-        u[i] = _sup_ratio(A, A[i], p)
+    m = int(np.count_nonzero(nonzero))
+    if p == 1.0 and math.comb(m, A.shape[1] - 1) <= _FACETS_PER_ROW * len(rows):
+        u[nonzero] = _facet_importance(A[nonzero])
+    else:
+        for i in rows:
+            u[i] = _sup_ratio(A, A[i], p)
     return u
+
+
+def _facet_importance(H: np.ndarray) -> np.ndarray:
+    """max_J |h_i^T b_J| / ||H b_J||_1 for every row of H, over (d-1)-row subsets J.
+
+    H has nonzero rows and full column rank. b_J is the cofactor null vector
+    of the rows in J. The supremum of |h_i^T b| over {b : ||H b||_1 <= 1} is
+    attained at a vertex, and the vertices of that polytope, the polar of the
+    zonotope sum_j [-h_j, h_j], are the normals of the zonotope's facets,
+    each spanned by d - 1 of the h_j (Ziegler, Lectures on Polytopes, ch. 7).
+    So the maximum over the b_J is the supremum. A subset of rank below
+    d - 1 gives b_J = 0 up to rounding: an exact zero is dropped, and any
+    other b_J is some direction, whose ratio is a lower bound and cannot
+    raise the maximum. u depends on H's column space alone, so H is first
+    replaced by Q = H R^(-1), R from a QR of H, each row of Q from its own
+    row of H so that small rows keep their relative accuracy: on rows
+    collinear to cond 1e6, u from H itself is off by a relative 1.7e-6, from
+    Q by 1e-11. Only b_J's direction matters, so its cofactors are taken of
+    rows scaled by powers of two to max-abs in [0.5, 1), whose products
+    cannot underflow, and it is scaled to max-abs 1 before it meets Q.
+    """
+    m, d = H.shape
+    Q = H @ np.linalg.inv(np.linalg.qr(H, mode="r"))
+    G = np.ldexp(Q, -np.frexp(np.abs(Q).max(axis=1))[1][:, None])
+    u = np.zeros(m)
+    subsets = combinations(range(m), d - 1)
+    total, chunk = math.comb(m, d - 1), max(1, _SCORE_BLOCK // m)
+    for start in range(0, total, chunk):
+        k = min(chunk, total - start)
+        J = np.fromiter(chain.from_iterable(islice(subsets, k)), dtype=np.intp,
+                        count=k * (d - 1)).reshape(k, d - 1)
+        N = _cofactors(G[J])
+        scale = np.abs(N).max(axis=1)
+        keep = scale > 0
+        # abs in place: a second m x chunk array raised certify's peak RSS 1.5 MB.
+        S = Q @ (N[keep] / scale[keep, None]).T
+        np.abs(S, out=S)
+        S /= S.sum(axis=0)
+        # A block may hold degenerate subsets only, and then no scores.
+        np.maximum(u, S.max(axis=1, initial=0.0), out=u)
+    return u
+
+
+def _cofactors(R: np.ndarray) -> np.ndarray:
+    """b[l] = (-1)^l det(R without column l) for each (d-1) x d matrix R[c].
+
+    R b = 0, and in exact arithmetic b = 0 when R has rank below d - 1. Laplace
+    expansion along each next row: the minors of rows 0..k are signed sums
+    of entries of row k times minors of rows 0..k-1, one gather, multiply and
+    sum per row over the whole stack, starting from the one minor of no rows.
+    """
+    W = np.ones((R.shape[0], 1))
+    for k, (cols, minors, signs) in enumerate(_laplace_levels(R.shape[2])):
+        W = np.einsum("cst,cst,t->cs", R[:, k, cols], W[:, minors], signs)
+    # The last level's column subsets, in lexicographic order, omit d-1, ..., 0.
+    b = W[:, ::-1]
+    b[:, 1::2] *= -1.0
+    return b
+
+
+@lru_cache(maxsize=None)
+def _laplace_levels(d: int) -> tuple:
+    """Per row k < d - 1 of `_cofactors`: each (k+1)-subset S of the d columns
+    (lexicographic), the index of S minus S[t] among the k-subsets, and (-1)^(k+t)."""
+    levels, index = [], {(): 0}
+    for k in range(d - 1):
+        subsets = list(combinations(range(d), k + 1))
+        minors = [[index[S[:t] + S[t + 1:]] for t in range(k + 1)] for S in subsets]
+        levels.append((np.array(subsets), np.array(minors), (-1.0) ** (k + np.arange(k + 1))))
+        index = {S: j for j, S in enumerate(subsets)}
+    return tuple(levels)
 
 
 def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:

@@ -16,6 +16,12 @@ def run(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_pipeline_gen_lewis_plan_realize_solve(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     code, _ = run(capsys, "gen", "--family", "random", "--n", "200", "--d", "3",
@@ -104,7 +110,7 @@ def test_verify_taylor_and_sandwich(tmp_path, capsys):
     code, out = run(capsys, "verify", "--check", "taylor", "--p", "1.5",
                     "--samples", "50000", "--seed", "1")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert np.isfinite(payload["sup_ratio"])
 
     mat = str(tmp_path / "m.csv")
@@ -112,7 +118,7 @@ def test_verify_taylor_and_sandwich(tmp_path, capsys):
     code, out = run(capsys, "verify", "--check", "sandwich", "--matrix", mat,
                     "--p", "1.0", "--seed", "2")
     assert code == 0
-    assert json.loads(out)["ok"] is True
+    assert strict_json(out)["ok"] is True
 
 
 @pytest.mark.parametrize("check,p", [("embed", 1.0), ("ruc", 1.0), ("cross", 1.5)])
@@ -135,13 +141,9 @@ def test_verify_matches_run_experiment(tmp_path, capsys, check, p):
                     "--delta", "0.1", "--trials", "3", "--directions", "6",
                     "--seed", "5", "--c-u", "0.5", "--c-m", "0.6")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     expected = run_experiment(config).aggregates
     assert payload == {"check": check, "eps": 0.3, "trials": 3, **expected}
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid strict JSON")
 
 
 @pytest.mark.parametrize("preset", ["l1-accept", "coin-accept"])
@@ -151,7 +153,7 @@ def test_run_zero_trials_vacuous_pass(capsys, preset):
         code, out = run(capsys, "run", "--preset", preset, "--trials", "0",
                         "--n", "500", "--d", "3")
     assert code == 0
-    payload = json.loads(out, parse_constant=_reject_constant)
+    payload = strict_json(out)
     assert payload["trials"] == []
     assert payload["passed"] is True
 
@@ -200,12 +202,6 @@ def test_sweep_rejects_a_metric_the_family_does_not_report(capsys):
     assert "median_ratio" in captured.err
 
 
-def strict_json(text):
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-    return json.loads(text, parse_constant=reject)
-
-
 SMALL_SWEEP = ["sweep", "--preset", "scaling-ruc", "--n", "600", "--d", "3", "--trials", "2"]
 
 
@@ -224,6 +220,35 @@ def test_sweep_prints_null_for_a_slope_it_cannot_fit(capsys, axis, values):
     summary = strict_json(out)
     assert summary["slope"] is None
     assert [row[axis] for row in summary["rows"]] == [float(v) for v in values.split(",")]
+
+
+def test_solve_writes_null_for_an_infinite_gap(tmp_path, capsys):
+    # A rank-deficient matrix has no certificate: the gap is inf, and JSON has no inf.
+    mat, labels = str(tmp_path / "m.csv"), str(tmp_path / "y.csv")
+    matio.save_matrix_csv(mat, np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+    matio.save_vector(labels, np.array([1.0, 2.0, 3.0]))
+    code, out = run(capsys, "solve", "--matrix", mat, "--labels", labels)
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["status"] == "degenerate" and payload["gap"] is None
+
+
+def test_run_and_sweep_write_null_for_an_infinite_ratio(tmp_path, capsys):
+    # About 2.3 rows sampled of 600: most sketched solves are degenerate, and
+    # their loss ratio, inf, is the median.
+    args = ["--preset", "l1-accept", "--n", "600", "--d", "3", "--trials", "3"]
+    code, out = run(capsys, "run", *args, "--c-u", "100", "--out", str(tmp_path / "run.json"))
+    assert code == 1
+    for text in (out, (tmp_path / "run.json").read_text()):
+        assert strict_json(text)["aggregates"]["median_ratio"] is None
+    out_path = tmp_path / "sweep.json"
+    code, out = run(capsys, "sweep", *args, "--axis", "c_u", "--values", "0.5,100",
+                    "--metric", "median_ratio", "--out", str(out_path))
+    assert code == 1
+    assert [row["median_ratio"] for row in strict_json(out)["rows"]][1] is None
+    saved = strict_json(out_path.read_text())
+    assert saved["summary"] == strict_json(out)
+    assert saved["reports"][1]["aggregates"]["median_ratio"] is None
 
 
 def test_sweep_axis_must_be_an_int_or_float_field(capsys):

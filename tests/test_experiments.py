@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lewisreg.experiments import (
     _plan,
     _random_instance,
     fit_loglog_slope,
+    json_text,
     preset_config,
     run_experiment,
     run_trials,
@@ -214,3 +217,27 @@ def test_preset_sketches_are_pinned(name):
     for t in range(4):
         h.update(realize(plan, rng.derive(config.seed, 0x02, t)).indices.tobytes())
     assert h.hexdigest() == PRESET_SKETCH_DIGESTS[name]
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_text_writes_non_finite_floats_as_null():
+    obj = {"b": [1.5, math.inf, (np.float64(-np.inf), math.nan)], "a": {"x": np.float64(2.0)}}
+    text = json_text(obj)
+    assert text.index('"a"') < text.index('"b"')
+    assert strict_json(text) == {"a": {"x": 2.0}, "b": [1.5, None, [None, None]]}
+    assert obj["b"][1] == math.inf
+
+
+def test_report_json_writes_null_for_an_infinite_ratio():
+    # An expected support of 2 rows: two of three sketched solves are
+    # degenerate, so the median loss ratio is inf, in memory only.
+    report = run_experiment(preset_config("l1-accept", n=600, d=3, trials=3, m_target=2.0))
+    assert report.aggregates["median_ratio"] == math.inf
+    payload = strict_json(report.to_json())
+    assert payload["aggregates"]["median_ratio"] is None
+    assert [t["ratio"] is None for t in payload["trials"]].count(True) == 2

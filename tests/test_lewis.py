@@ -449,22 +449,99 @@ def sweep_sup(A, v, p):
     return float(np.max(np.abs(v @ B) ** p / np.sum(np.abs(A @ B) ** p, axis=0)))
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_importance_p1_matches_lp(k):
-    # u_i = min{||z||_inf : A^T z = a_i} by LP duality.
+def l1_importance_by_lp(A, v):
+    """sup_b |v^T b| / ||A b||_1 = min{||z||_inf : A^T z = v} by LP duality, by HiGHS.
+
+    The tolerances are tightened from HiGHS's 1e-7: at the defaults, rows
+    collinear to cond 1e6 come out up to 1.8% off an exact rational
+    enumeration, at 1e-10 within 1.5e-11.
+    """
     from scipy.optimize import linprog
 
-    A = sandwich_corpus_matrix(k)
     n, d = A.shape
     c = np.r_[np.zeros(n), 1.0]
     bound = np.block([[np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))]])
     eq = np.hstack([A.T, np.zeros((d, 1))])
-    exact = np.array([
-        linprog(c, A_ub=bound, b_ub=np.zeros(2 * n), A_eq=eq, b_eq=A[i],
-                bounds=[(None, None)] * n + [(0, None)], method="highs").fun
-        for i in range(n)
-    ])
+    return linprog(c, A_ub=bound, b_ub=np.zeros(2 * n), A_eq=eq, b_eq=v,
+                   bounds=[(None, None)] * n + [(0, None)], method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10}).fun
+
+
+def p1_case(case):
+    """A matrix and its exact p = 1 importance weights: by HiGHS, unless the case derives them."""
+    if isinstance(case, int):
+        A = sandwich_corpus_matrix(case)
+    elif case == "rows-scaled-2^+-400":
+        # Even rows times 2^400, odd rows times 2^-400. The large rows alone
+        # have full rank, and the small ones add a relative 2^-800 to
+        # ||A b||_1, so u_i = 2^(e_i - 400) sup_b |a_i^T b| / ||A_large b||_1
+        # to that accuracy.
+        A = sandwich_corpus_matrix(2)
+        e = np.where(np.arange(A.shape[0]) % 2 == 0, 400, -400)
+        exact = [2.0 ** (ei - 400) * l1_importance_by_lp(A[::2], a) for a, ei in zip(A, e)]
+        return np.ldexp(A, e[:, None]), np.array(exact)
+    elif case == "copies-of-one-row":
+        # From the pair (2, 3) on, every pair of rows is degenerate: whole
+        # blocks of subsets have no facet. ||A b||_1 is that of the 3 x 3
+        # matrix [254 a; r_0; r_1], whose u is 1 for each row.
+        r = np.random.default_rng(32)
+        A = np.vstack([r.standard_normal((2, 3)), np.tile(r.standard_normal(3), (254, 1))])
+        return A, np.r_[1.0, 1.0, np.full(254, 1.0 / 254)]
+    else:
+        r = np.random.default_rng(29)
+        A0 = sandwich_corpus_matrix(0)
+        A = {
+            "duplicate-rows": lambda: np.vstack([A0, A0[:4], -A0[4:6], 2 * A0[6:8]]),
+            "zero-row": lambda: np.insert(A0, 5, 0.0, axis=0),
+            "collinear-rows": lambda: (np.outer(r.standard_normal(20), r.standard_normal(3))
+                                       + 1e-6 * r.standard_normal((20, 3))),
+            "d1": lambda: r.standard_normal((9, 1)),
+            "d5": lambda: r.standard_normal((18, 5)),
+        }[case]()
+    return A, np.array([l1_importance_by_lp(A, a) for a in A])
+
+
+@pytest.mark.parametrize("case", [*range(6), "duplicate-rows", "zero-row", "collinear-rows",
+                                  "d1", "d5", "rows-scaled-2^+-400", "copies-of-one-row"])
+def test_importance_p1_matches_lp(monkeypatch, case):
+    # Every case is within the facet bound, so the enumeration alone answers.
+    monkeypatch.setattr(lewis_module, "solve_weighted_l1", None)
+    A, exact = p1_case(case)
+    if case == "collinear-rows":
+        assert 1e6 <= np.linalg.cond(A) <= 1e7
     np.testing.assert_allclose(importance_weights(A, 1.0).u, exact, rtol=1e-9)
+
+
+def test_certify_corpus_enumerates_facets_without_a_solver(monkeypatch):
+    # The benchmark's sandwich slice, the 44 x 4 matrix (301 subsets per row)
+    # included, runs no regression.
+    def no_solver(*args, **kw):
+        raise AssertionError("the facet enumeration ran a solver")
+
+    monkeypatch.setattr(lewis_module, "solve_weighted_l1", no_solver)
+    assert sandwich_corpus_matrix(2).shape == (44, 4)
+    for k in range(6):
+        A = sandwich_corpus_matrix(k)
+        lw = lewis_weights(A, 1.0)
+        assert sandwich_check(A, 1.0, lw, importance_weights(A, 1.0)).ok
+
+
+def test_importance_p1_past_facet_bound_solves_each_row(monkeypatch):
+    # One requested row of the 44 x 4 matrix has C(44, 3) = 13244 subsets to
+    # itself, and a 30 x 5 matrix 914 per row: both past the bound, so each
+    # row takes one certified L1 regression, which agrees with the facets.
+    solve, calls = lewis_module.solve_weighted_l1, []
+    monkeypatch.setattr(lewis_module, "solve_weighted_l1",
+                        lambda *args, **kw: calls.append(solve(*args, **kw)) or calls[-1])
+    A = sandwich_corpus_matrix(2)
+    facets = lewis_module._facet_importance(A)
+    assert importance_weight_oracle(A, 1.0, 7) == pytest.approx(facets[7], rel=1e-9)
+    assert len(calls) == 1
+    B = np.random.default_rng(30).standard_normal((30, 5))
+    np.testing.assert_allclose(importance_weights(B, 1.0).u,
+                               lewis_module._facet_importance(B), rtol=1e-9)
+    assert len(calls) == 31 and all(r.status == "converged" for r in calls)
 
 
 @pytest.mark.parametrize("k, row", [(14, 18), (16, 7), (17, 16)])
