@@ -33,8 +33,9 @@ sup_beta |a_i^T beta|^p / ||A beta||_p^p, has no closed form for d >= 2 and
 p < 2. At p = 1 the supremum is attained at a vertex of the unit ball
 {beta : ||A beta||_1 <= 1}, whose vertices are the normals of the facets of
 the zonotope sum_j [-a_j, a_j], each orthogonal to d - 1 of the rows. While
-there are few enough (d - 1)-row subsets, every u_i is the maximum over
-their null vectors, all rows at once. Otherwise, and for p > 1, u_i is
+d is small and there are few enough (d - 1)-row subsets, every u_i is the
+maximum over their null vectors, all rows at once, each null vector from d
+batched determinants. Otherwise, and for p > 1, u_i is
 1 / min{||A beta||_p^p : a_i^T beta = 1}, an Lp regression on d - 1
 coefficients once the constraint is eliminated, which the weighted L1 and
 Lp solvers solve exactly, so both sides of the sandwich
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -60,19 +60,25 @@ from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 # A converging residual misses a new minimum at most twice in a row.
 _STALL_ITERATIONS = 10
 
-# At p = 1 the importance weights enumerate the facet normals while there are
-# at most this many (d - 1)-row subsets per requested nonzero row, and solve
-# one certified L1 regression per row beyond. Measured with one BLAS thread on
-# Gaussian m x d matrices, every row requested: the two break even near 300
-# subsets per row at d = 3 (m = 600, where each subset's m scores dominate),
-# 1400 at d = 4, 1650 at d = 5 and 850 at d = 6. At 350 the enumeration takes
-# up to about 1.4 times as long as the regressions (d = 3, m = 700), and the
-# regressions up to about 5 times as long as the enumeration (d = 4, m = 48).
+# At p = 1 the importance weights enumerate the facet normals while d is at
+# most _FACET_MAX_D and there are at most _FACETS_PER_ROW (d - 1)-row subsets
+# per requested nonzero row, and solve one certified L1 regression per row
+# otherwise. Measured with one BLAS thread on Gaussian m x d matrices, every
+# row requested, for d = 2 to 8 only: the two break even near 300 subsets per
+# row at d = 3 (m = 600, where each subset's m scores dominate), 600 at d = 4,
+# 400 at d = 5, 330 at d = 6, 240 at d = 7 and 180 at d = 8, where the d
+# determinants of each subset dominate. Near 350 the enumeration takes up
+# to about twice as long as the regressions (d = 3, m = 700; d = 8, m = 14),
+# and the regressions up to about twice as long as the enumeration (d = 4,
+# m = 47; d = 5, m = 22).
+# Past the measured d the enumeration is not used.
 _FACETS_PER_ROW = 350
+_FACET_MAX_D = 8
 
-# Entries of one m x chunk block of facet scores |A B|: 2048 facets of a
-# 32-row matrix, fewer the more rows. 2^16 to 2^18 timed alike at m = 600,
-# where 2^14 took 1.9 times as long, and 2^16 was fastest at m = 44.
+# Entries of one block of facet scores |A B| (m x chunk), and of one stack of
+# determinants (chunk x d x (d-1)^2): 2048 facets of a 32-row matrix, fewer
+# the more rows. 2^16 to 2^18 timed alike at m = 600, where 2^14 took 1.9
+# times as long, and 2^16 was fastest at m = 44.
 _SCORE_BLOCK = 1 << 16
 
 
@@ -325,11 +331,11 @@ def importance_weight_oracle(A, p: float, row: int) -> float:
 def importance_weights(A, p: float, starts: int = 16, seed: int = 0) -> ImportanceWeights:
     """Exact importance weights of every row of A, which must have full column rank.
 
-    At p = 1, with at most `_FACETS_PER_ROW` subsets of d - 1 nonzero rows
-    per nonzero row, u is the maximum over the facet normals
-    (`_facet_importance`); otherwise each row's u comes from one certified
-    regression (`_sup_ratio`). `starts` and `seed` are accepted for
-    compatibility and ignored.
+    At p = 1, with d at most `_FACET_MAX_D` and at most `_FACETS_PER_ROW`
+    subsets of d - 1 nonzero rows per nonzero row, u is the maximum over the
+    facet normals (`_facet_importance`); otherwise each row's u comes from
+    one certified regression (`_sup_ratio`). `starts` and `seed` are
+    accepted for compatibility and ignored.
     """
     A = as_matrix(A)
     return ImportanceWeights(p=p, u=_importance_all(A, p, rows=range(A.shape[0])))
@@ -346,8 +352,9 @@ def _importance_all(A, p, rows) -> np.ndarray:
         return u
     if matrix_rank_cutoff(A) < A.shape[1]:
         raise DegenerateMatrixError(f"rank-deficient matrix: need rank {A.shape[1]}")
-    m = int(np.count_nonzero(nonzero))
-    if p == 1.0 and math.comb(m, A.shape[1] - 1) <= _FACETS_PER_ROW * len(rows):
+    m, d = int(np.count_nonzero(nonzero)), A.shape[1]
+    if (p == 1.0 and d <= _FACET_MAX_D
+            and math.comb(m, d - 1) <= _FACETS_PER_ROW * len(rows)):
         u[nonzero] = _facet_importance(A[nonzero])
     else:
         for i in rows:
@@ -371,15 +378,16 @@ def _facet_importance(H: np.ndarray) -> np.ndarray:
     row of H so that small rows keep their relative accuracy: on rows
     collinear to cond 1e6, u from H itself is off by a relative 1.7e-6, from
     Q by 1e-11. Only b_J's direction matters, so its cofactors are taken of
-    rows scaled by powers of two to max-abs in [0.5, 1), whose products
-    cannot underflow, and it is scaled to max-abs 1 before it meets Q.
+    rows scaled by powers of two to max-abs in [0.5, 1), whose determinants
+    neither overflow nor underflow unless the rows are nearly dependent, and
+    it is scaled to max-abs 1 before it meets Q.
     """
     m, d = H.shape
     Q = H @ np.linalg.inv(np.linalg.qr(H, mode="r"))
     G = np.ldexp(Q, -np.frexp(np.abs(Q).max(axis=1))[1][:, None])
     u = np.zeros(m)
     subsets = combinations(range(m), d - 1)
-    total, chunk = math.comb(m, d - 1), max(1, _SCORE_BLOCK // m)
+    total, chunk = math.comb(m, d - 1), max(1, _SCORE_BLOCK // max(m, d * (d - 1) ** 2))
     for start in range(0, total, chunk):
         k = min(chunk, total - start)
         J = np.fromiter(chain.from_iterable(islice(subsets, k)), dtype=np.intp,
@@ -393,37 +401,24 @@ def _facet_importance(H: np.ndarray) -> np.ndarray:
         S /= S.sum(axis=0)
         # A block may hold degenerate subsets only, and then no scores.
         np.maximum(u, S.max(axis=1, initial=0.0), out=u)
+        # Alive beside the next block's determinants, S raised the layer's
+        # traced peak on the certify corpus from 0.73 to 1.25 MB.
+        del S
     return u
 
 
 def _cofactors(R: np.ndarray) -> np.ndarray:
     """b[l] = (-1)^l det(R without column l) for each (d-1) x d matrix R[c].
 
-    R b = 0, and in exact arithmetic b = 0 when R has rank below d - 1. Laplace
-    expansion along each next row: the minors of rows 0..k are signed sums
-    of entries of row k times minors of rows 0..k-1, one gather, multiply and
-    sum per row over the whole stack, starting from the one minor of no rows.
+    R b = 0, and in exact arithmetic b = 0 when R has rank below d - 1. All
+    d minors of the whole stack go to one batched determinant.
     """
-    W = np.ones((R.shape[0], 1))
-    for k, (cols, minors, signs) in enumerate(_laplace_levels(R.shape[2])):
-        W = np.einsum("cst,cst,t->cs", R[:, k, cols], W[:, minors], signs)
-    # The last level's column subsets, in lexicographic order, omit d-1, ..., 0.
-    b = W[:, ::-1]
+    d = R.shape[2]
+    j = np.arange(d - 1)
+    cols = j + (j >= np.arange(d)[:, None])       # row l: the columns other than l
+    b = np.linalg.det(R[:, j[:, None], cols[:, None, :]])
     b[:, 1::2] *= -1.0
     return b
-
-
-@lru_cache(maxsize=None)
-def _laplace_levels(d: int) -> tuple:
-    """Per row k < d - 1 of `_cofactors`: each (k+1)-subset S of the d columns
-    (lexicographic), the index of S minus S[t] among the k-subsets, and (-1)^(k+t)."""
-    levels, index = [], {(): 0}
-    for k in range(d - 1):
-        subsets = list(combinations(range(d), k + 1))
-        minors = [[index[S[:t] + S[t + 1:]] for t in range(k + 1)] for S in subsets]
-        levels.append((np.array(subsets), np.array(minors), (-1.0) ** (k + np.arange(k + 1))))
-        index = {S: j for j, S in enumerate(subsets)}
-    return tuple(levels)
 
 
 def _sup_ratio(A: np.ndarray, v: np.ndarray, p: float) -> float:

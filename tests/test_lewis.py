@@ -502,14 +502,26 @@ def p1_case(case):
     return A, np.array([l1_importance_by_lp(A, a) for a in A])
 
 
-@pytest.mark.parametrize("case", [*range(6), "duplicate-rows", "zero-row", "collinear-rows",
-                                  "d1", "d5", "rows-scaled-2^+-400", "copies-of-one-row"])
+P1_CASES = [*range(6), "duplicate-rows", "zero-row", "collinear-rows",
+            "d1", "d5", "rows-scaled-2^+-400", "copies-of-one-row"]
+
+
+@pytest.mark.parametrize("case", P1_CASES)
 def test_importance_p1_matches_lp(monkeypatch, case):
-    # Every case is within the facet bound, so the enumeration alone answers.
+    # Every case is within the facet bounds, so the enumeration alone answers.
     monkeypatch.setattr(lewis_module, "solve_weighted_l1", None)
     A, exact = p1_case(case)
     if case == "collinear-rows":
         assert 1e6 <= np.linalg.cond(A) <= 1e7
+    np.testing.assert_allclose(importance_weights(A, 1.0).u, exact, rtol=1e-9)
+
+
+@pytest.mark.parametrize("case", P1_CASES)
+def test_importance_p1_regressions_match_lp(monkeypatch, case):
+    # With the subset bound at 0, each row takes one certified regression.
+    monkeypatch.setattr(lewis_module, "_FACETS_PER_ROW", 0)
+    monkeypatch.setattr(lewis_module, "_facet_importance", None)
+    A, exact = p1_case(case)
     np.testing.assert_allclose(importance_weights(A, 1.0).u, exact, rtol=1e-9)
 
 
@@ -542,6 +554,21 @@ def test_importance_p1_past_facet_bound_solves_each_row(monkeypatch):
     np.testing.assert_allclose(importance_weights(B, 1.0).u,
                                lewis_module._facet_importance(B), rtol=1e-9)
     assert len(calls) == 31 and all(r.status == "converged" for r in calls)
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (24, 24), (25, 24)])
+def test_importance_p1_past_facet_max_d_solves_each_row(monkeypatch, shape):
+    # Within the subset bound (20 to 300 subsets), but d is past the measured
+    # range of the enumeration, so each row takes one certified regression.
+    A = np.random.default_rng(31).standard_normal(shape)
+    enumerate_facets = lewis_module._facet_importance
+    monkeypatch.setattr(lewis_module, "_facet_importance", None)
+    u = importance_weights(A, 1.0).u
+    np.testing.assert_allclose(u, [l1_importance_by_lp(A, a) for a in A], rtol=1e-9)
+    # The enumeration itself costs d determinants per subset, not 2^d.
+    if shape[0] == shape[1]:
+        np.testing.assert_allclose(u, 1.0, rtol=1e-9)
+        np.testing.assert_allclose(enumerate_facets(A), 1.0, rtol=1e-9)
 
 
 @pytest.mark.parametrize("k, row", [(14, 18), (16, 7), (17, 16)])
