@@ -47,8 +47,6 @@ from .instances import (
     sign_recovery_experiment,
 )
 from .verify import (
-    BetaSample,
-    CrossTermReport,
     EmbedReport,
     RucTrial,
     TaylorReport,

@@ -2,7 +2,9 @@
 
 All I/O goes through files plus JSON on stdout so the subcommands compose into
 pipelines. Exit codes: 0 success (and, for `run`/`sweep`, all pass criteria
-met), 1 runtime failure or criteria not met, 2 usage errors.
+met; for `solve`, a solve that converged with its certificate), 1 runtime
+failure, criteria not met or a solve without a certificate (its JSON is still
+printed), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 from . import __version__, matio
 from .errors import BudgetExceededError, DegenerateMatrixError
 from .experiments import (
+    DEFAULT_C_M,
+    DEFAULT_C_U,
     FIELD_TYPES,
     SWEEP_FIELDS,
     ExperimentConfig,
@@ -40,7 +44,7 @@ from .sampling import (
     plan_uniform,
     realize,
 )
-from .solvers import solve_weighted_l1, solve_weighted_lp
+from .solvers import CONVERGED, solve_weighted_l1, solve_weighted_lp
 from .verify import taylor_claim_check
 
 
@@ -131,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--directions", type=int, default=40)
     v.add_argument("--samples", type=int, default=10**6)
-    v.add_argument("--c-u", type=float, default=1.0)
-    v.add_argument("--c-m", type=float, default=1.0)
+    v.add_argument("--c-u", type=float, default=DEFAULT_C_U)
+    v.add_argument("--c-m", type=float, default=DEFAULT_C_M)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
@@ -307,7 +311,7 @@ def _cmd_solve(args) -> int:
         "status": res.status,
         "gap": res.gap,
     }))
-    return 0
+    return 0 if res.status == CONVERGED else 1
 
 
 def _cmd_verify(args) -> int:

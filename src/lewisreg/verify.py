@@ -21,7 +21,6 @@ it came in or on the BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import DegenerateMatrixError
 from .lewis import _sup_ratio
 from .linalg import as_matrix, as_vector, lp_norm, matrix_rank_cutoff, tsqr
 from .oracle import RegressionInstance
-from .sampling import Sketch
+from .sampling import Sketch, _check_unit_interval
 from .solvers import _duality_gap
 
 # Direction images are formed this many directions at a time. A block never
@@ -44,17 +43,8 @@ _MIN_IMAGE_ROWS = 4
 # cross_term_check takes labels as centered at the minimizer when beta = 0 is
 # optimal for them to this relative duality gap, the solvers' default
 # tolerance. A relative gap g allows a relative gradient of order sqrt(g), so
-# the gradient is reported, not tested against a limit of its own.
+# the gap is the test, not the gradient.
 _CENTERING_GAP = 1e-8
-
-
-@dataclass(frozen=True)
-class BetaSample:
-    """How to sample candidate beta for the empirical suprema."""
-
-    directions: int = 40
-    seed: int = 0
-    ascent_rounds: int = 80
 
 
 @dataclass(frozen=True)
@@ -67,19 +57,8 @@ class RucTrial:
 
 @dataclass(frozen=True)
 class EmbedReport:
-    p: float
-    directions: int
+    directions: int              # sampled directions with A beta != 0
     max_ratio_dev: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CrossTermReport:
-    p: float
-    max_ratio: float             # max_beta cross / (||A beta||_p ||y||_p^(p-1))
-    reference: float | None      # sqrt(gamma d^(2/p) / (delta m)) when m given
-    fitted_c: float | None
-    precondition_residual: float
 
 
 @dataclass(frozen=True)
@@ -165,18 +144,15 @@ def _row_losses(R, p, s=None) -> np.ndarray:
     return R.sum(axis=1)
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
-
-
 def ruc_check(
     instance: RegressionInstance,
     sketch: Sketch,
     beta_star,
-    betas: BetaSample = BetaSample(),
     eps: float = 0.25,
     delta: float = 0.1,
+    directions: int = 40,
+    seed: int = 0,
+    ascent_rounds: int = 80,
 ) -> RucTrial:
     """One-trial robust uniform convergence audit for a realized sketch.
 
@@ -185,9 +161,9 @@ def ruc_check(
     |Ltilde(b) - L(b)| / L(b) over the same battery: b* and, along each sampled
     direction eta with A eta != 0, the b* + t eta with ||t A eta||_p^p equal to
     `default_radii(eps, delta)` times L(b*), whose residuals are A b* - y + t A eta.
+    The battery's `directions` and the climb's `ascent_rounds` directions come from `seed`.
     """
-    _check_unit_interval("eps", eps)
-    _check_unit_interval("delta", delta)
+    _check_unit_interval(eps=eps, delta=delta)
     A = instance.A
     p = instance.p
     y = instance.reveal_hidden_labels()
@@ -207,7 +183,7 @@ def ruc_check(
     top_uncorrected = uncorrected[0]
     evaluated = 1
     x0, r, r_s = beta_star, r0, r0_s
-    dirs = _unit_directions(rng.derive(betas.seed, 0xBE), betas.directions, A.shape[1])
+    dirs = _unit_directions(rng.derive(seed, 0xBE), directions, A.shape[1])
     for start, D, D_s in _image_blocks(dirs, A, rows):
         energy = _line_losses(0.0, D, np.ones((D.shape[0], 1)), p)[:, 0]
         kept = np.flatnonzero(energy > 0)
@@ -230,7 +206,7 @@ def ruc_check(
             x0 = beta_star + t * dirs[start + kept[k]]
             r, r_s = t * D[k] + r0, t * D_s[k] + r0_s
     D = D_s = None   # release the last block before the climb forms its own
-    dirs = _unit_directions(rng.derive(betas.seed, 0xAC), betas.ascent_rounds, A.shape[1])
+    dirs = _unit_directions(rng.derive(seed, 0xAC), ascent_rounds, A.shape[1])
     refined = _ruc_climb(r, r_s, _image_blocks(dirs, A, rows), w_s, p, L_star, Lt_star,
                          float(best), 0.5 * max(np.linalg.norm(x0), 1.0))
     return RucTrial(
@@ -272,7 +248,7 @@ def _ruc_climb(r, r_s, blocks, w_s, p, L_star, Lt_star, best, step) -> float:
 
 
 def embedding_check(
-    A, sketch: Sketch, p: float, eps: float, directions: int = 200, seed: int = 0
+    A, sketch: Sketch, p: float, directions: int = 200, seed: int = 0
 ) -> EmbedReport:
     """max over sampled unit beta of | ||SA beta||_p^p / ||A beta||_p^p - 1 |.
 
@@ -282,7 +258,6 @@ def embedding_check(
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must be in [1, 2], got {p}")
-    _check_unit_interval("eps", eps)
     A = as_matrix(A)
     dirs = _unit_directions(rng.derive(seed, 0xE3), directions, A.shape[1])
     sk = np.empty(dirs.shape[0])
@@ -292,21 +267,12 @@ def embedding_check(
         full[start:start + D.shape[0]] = _row_losses(D, p)
     good = full > 0
     dev = float(np.max(np.abs(sk[good] / full[good] - 1.0))) if good.any() else 0.0
-    return EmbedReport(p=p, directions=int(good.sum()), max_ratio_dev=dev,
-                       passed=dev <= eps)
+    return EmbedReport(directions=int(good.sum()), max_ratio_dev=dev)
 
 
-def cross_term_check(
-    A,
-    y_centered,
-    sketches: list[Sketch],
-    p: float,
-    m: float | None = None,
-    gamma: float = 1.0,
-    delta: float = 0.1,
-) -> list[CrossTermReport]:
-    """Bound the first-order cross term sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta
-    of each sketch, one report per sketch.
+def cross_term_check(A, y_centered, sketches: list[Sketch], p: float) -> list[float]:
+    """max_beta |cross| / (||A beta||_p ||y||_p^(p-1)) of each sketch, one per sketch,
+    where cross = sum_i s_i p |y_i|^(p-1) sign(y_i) a_i^T beta is its first-order term.
 
     Requires A to have full column rank, and y_centered to be the residual
     at the full-data minimizer so the unweighted cross term vanishes
@@ -331,25 +297,15 @@ def cross_term_check(
     del Q   # n x d, and each sketch's supremum takes its own
     if gap > _CENTERING_GAP:
         raise ValueError(f"labels are not centered at the minimizer: duality gap {gap:.2e}")
-    grad = A.T @ psi
-    scale = float(np.sum(np.abs(psi) * np.linalg.norm(A, axis=1)))
-    rel = float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0
     y_norm = lp_norm(y, p)
-    reference = None
-    if m is not None and m > 0:
-        reference = math.sqrt(gamma * d ** (2.0 / p) / (delta * m))
-    reports = []
+    ratios = []
     for sketch in sketches:
         v = A[sketch.indices].T @ (sketch.weights * psi[sketch.indices])
         if y_norm == 0 or not np.any(v):
-            max_ratio = 0.0
+            ratios.append(0.0)
         else:
-            max_ratio = _sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)
-        reports.append(CrossTermReport(
-            p=p, max_ratio=float(max_ratio), reference=reference,
-            fitted_c=None if reference is None else max_ratio / reference,
-            precondition_residual=rel))
-    return reports
+            ratios.append(float(_sup_ratio(A, v, p) ** (1.0 / p) / y_norm ** (p - 1.0)))
+    return ratios
 
 
 def taylor_remainder_ratio(t, p: float):

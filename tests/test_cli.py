@@ -146,6 +146,21 @@ def test_verify_matches_run_experiment(tmp_path, capsys, check, p):
     assert payload == {"check": check, "eps": 0.3, "trials": 3, **expected}
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_verify_defaults_match_the_config_defaults(tmp_path, capsys, p):
+    # Without --c-u and --c-m, verify plans as run and sweep do.
+    config = ExperimentConfig(family="ruc", n=500, d=3, p=p, trials=3, seed=5, directions=6)
+    inst = gen_random(config.n, config.d, p=p, seed=rng.derive(config.seed, 1)).instance
+    mat, labels = str(tmp_path / "m.dmat"), str(tmp_path / "y.csv")
+    matio.save_matrix_binary(mat, inst.A)
+    matio.save_vector(labels, inst.reveal_hidden_labels())
+    code, out = run(capsys, "verify", "--check", "ruc", "--matrix", mat, "--labels", labels,
+                    "--p", str(p), "--trials", "3", "--directions", "6", "--seed", "5")
+    assert code == 0
+    expected = run_experiment(config).aggregates
+    assert strict_json(out) == {"check": "ruc", "eps": config.eps, "trials": 3, **expected}
+
+
 @pytest.mark.parametrize("preset", ["l1-accept", "coin-accept"])
 def test_run_zero_trials_vacuous_pass(capsys, preset):
     with warnings.catch_warnings():
@@ -223,12 +238,13 @@ def test_sweep_prints_null_for_a_slope_it_cannot_fit(capsys, axis, values):
 
 
 def test_solve_writes_null_for_an_infinite_gap(tmp_path, capsys):
-    # A rank-deficient matrix has no certificate: the gap is inf, and JSON has no inf.
+    # A rank-deficient matrix has no certificate: the gap is inf, and JSON has
+    # no inf. The JSON is printed all the same, and the exit code says it failed.
     mat, labels = str(tmp_path / "m.csv"), str(tmp_path / "y.csv")
     matio.save_matrix_csv(mat, np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     matio.save_vector(labels, np.array([1.0, 2.0, 3.0]))
     code, out = run(capsys, "solve", "--matrix", mat, "--labels", labels)
-    assert code == 0
+    assert code == 1
     payload = strict_json(out)
     assert payload["status"] == "degenerate" and payload["gap"] is None
 

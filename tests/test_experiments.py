@@ -219,6 +219,34 @@ def test_preset_sketches_are_pinned(name):
     assert h.hexdigest() == PRESET_SKETCH_DIGESTS[name]
 
 
+# Aggregates of small certification runs, floats as float.hex, with each
+# run's pass flag. The embed and ruc budgets are cut so that some trials
+# fail, which pins the pass rule as well as the measurements.
+PRESET_REPORTS = {
+    ("embed-accept", (("n", 2000), ("trials", 8), ("m_target", 60.0))): ({
+        "expected_support": "0x1.e000000000000p+5",
+        "median_deviation": "0x1.076b8e186f2eap-2",
+        "pass_count": 4, "pass_fraction": "0x1.0000000000000p-1"}, False),
+    ("ruc-accept", (("n", 3000), ("trials", 6), ("m_target", 150.0))): ({
+        "expected_support": "0x1.2c00000000000p+7",
+        "uncorrected_exceed_fraction": "0x1.0000000000000p+0",
+        "median_violation": "0x1.f5cb197f3567cp-3",
+        "pass_count": 4, "pass_fraction": "0x1.5555555555555p-1"}, False),
+    ("scaling-cross", (("n", 2000), ("trials", 4))): ({
+        "expected_support": "0x1.aa8ea5deb0bd5p+9", "m": "0x1.2863175a04d3ap+10",
+        "median_max_ratio": "0x1.e12e97d6db5ccp-4",
+        "median_fitted_c": "0x1.bff30f209806bp-2"}, True),
+}
+
+
+@pytest.mark.parametrize("name,overrides", sorted(PRESET_REPORTS))
+def test_certification_reports_are_pinned(name, overrides):
+    report = run_experiment(preset_config(name, **dict(overrides)))
+    aggregates = {k: v.hex() if isinstance(v, float) else v
+                  for k, v in report.aggregates.items()}
+    assert (aggregates, report.passed) == PRESET_REPORTS[name, overrides]
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")
